@@ -293,9 +293,59 @@ func BenchmarkSubmitTrajectoriesBatched(b *testing.B) {
 	}
 }
 
+// BenchmarkTranspileRoute measures the host work a job pays before its
+// kernel runs: noise-aware placement annealing and swap routing of the
+// 4-qutrit GHZ onto a 2-cavity, 2-mode chain at the default transpile
+// level. Its allocs/op must not grow with the annealing iteration count.
+func BenchmarkTranspileRoute(b *testing.B) {
+	proc, err := core.NewCompactProcessor(2, 2, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := ghzCircuit(b, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := proc.Transpile(c, core.WithSeed(7)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSubmitStatevectorShots tracks per-job result assembly: a
+// 1,024-shot statevector 4-qutrit GHZ job through Processor.Submit with
+// a warm plan cache, so transpile, sampling and the histogram are most
+// of the cost.
+func BenchmarkSubmitStatevectorShots(b *testing.B) {
+	proc, err := core.NewCompactProcessor(2, 2, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := ghzCircuit(b, 4)
+	submit := func() (core.Result, error) {
+		return proc.SubmitOne(c, core.WithShots(1024), core.WithSeed(7))
+	}
+	b.ReportAllocs()
+	warmPlanCache(b, func() error {
+		_, err := submit()
+		return err
+	})
+	for i := 0; i < b.N; i++ {
+		res, err := submit()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Counts.Total() != 1024 {
+			b.Fatalf("counts total %d", res.Counts.Total())
+		}
+	}
+}
+
 // BenchmarkTrajectoryPlanShot measures one compiled noisy trajectory
 // shot on a 4-qutrit GHZ circuit — the Plan engine's per-shot cost,
 // which must stay allocation-free (allocs/op is the tracked number).
+// Each shot reseeds an O(1) qmath.ShotSource, as the trajectory backend
+// does.
 func BenchmarkTrajectoryPlanShot(b *testing.B) {
 	c := ghzCircuit(b, 4)
 	model := noise.Model{Depol1: 1e-4, Depol2: 1e-3, Damping: 2e-3, Dephasing: 1e-3}
@@ -307,12 +357,13 @@ func BenchmarkTrajectoryPlanShot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(new(qmath.ShotSource))
+	base := core.DeriveSeed(0, "bench-shot")
 	var sampler qmath.CDFSampler
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rng.Seed(core.DeriveSeed(int64(i), "bench-shot"))
+		rng.Seed(base + int64(i))
 		if _, err := plan.RunShot(ws, rng); err != nil {
 			b.Fatal(err)
 		}
@@ -327,12 +378,13 @@ func BenchmarkTrajectoryPlanShot(b *testing.B) {
 func BenchmarkTrajectoryInterpretedShot(b *testing.B) {
 	c := ghzCircuit(b, 4)
 	model := noise.Model{Depol1: 1e-4, Depol2: 1e-3, Damping: 2e-3, Dephasing: 1e-3}
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(new(qmath.ShotSource))
+	base := core.DeriveSeed(0, "bench-shot")
 	var sampler qmath.CDFSampler
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rng.Seed(core.DeriveSeed(int64(i), "bench-shot"))
+		rng.Seed(base + int64(i))
 		v, err := c.RunTrajectory(rng, model)
 		if err != nil {
 			b.Fatal(err)

@@ -200,6 +200,18 @@ func TestSweepSubmitAndWatch(t *testing.T) {
 	if !strings.Contains(out.String(), "sweep s-") || !strings.Contains(out.String(), "4 cells") {
 		t.Fatalf("sweep output %q", out.String())
 	}
+	// The resubmission below may only expect cache hits once every cell
+	// of this sweep has settled; until then its cells race this sweep's
+	// for the queue.
+	id := strings.TrimSuffix(strings.Fields(out.String())[1], ":")
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "?wait=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("waiting on sweep %s: status %d", id, resp.StatusCode)
+	}
 
 	// -watch streams cell settlements and the aggregate summary.
 	out.Reset()

@@ -222,6 +222,28 @@ func openJournals(o options) (jobs, sweeps *journal.Journal, jobsRec, sweepsRec 
 	return jobs, sweeps, jobsRec, sweepsRec, nil
 }
 
+// Connection bounds shared by every role's API server: a client must
+// finish its request headers within readHeaderTimeout, an idle
+// keep-alive connection closes after idleTimeout, and headers are
+// capped at maxHeaderBytes. ReadTimeout and WriteTimeout stay unset on
+// purpose: a ?wait=1 long-poll or an SSE event stream legitimately
+// lasts as long as its job or sweep, which no fixed bound fits.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer builds a role's API server with the connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // run serves the API until ctx is cancelled, then shuts down
 // gracefully. If ready is non-nil it receives the bound listen address
 // once the server is accepting connections.
@@ -292,7 +314,7 @@ func runNode(ctx context.Context, o options, logger *log.Logger, ready chan<- ne
 		svc.Close()
 		return fmt.Errorf("listening on %s: %w", o.addr, err)
 	}
-	server := &http.Server{Handler: experiment.NewHandler(mgr, serve.NewHandler(svc))}
+	server := newHTTPServer(experiment.NewHandler(mgr, serve.NewHandler(svc)))
 
 	logger.Printf("quditd %s serving on %s (device: %d cavities x %d modes, seed %d)",
 		o.role, ln.Addr(), o.cavities, o.modes, o.seed)
@@ -424,7 +446,7 @@ func runCoordinator(ctx context.Context, o options, logger *log.Logger, ready ch
 		coord.Close()
 		return fmt.Errorf("listening on %s: %w", o.addr, err)
 	}
-	server := &http.Server{Handler: experiment.NewHandler(mgr, cluster.Handler(coord))}
+	server := newHTTPServer(experiment.NewHandler(mgr, cluster.Handler(coord)))
 
 	logger.Printf("quditd coordinator serving on %s (heartbeat TTL %v)", ln.Addr(), o.hbTTL)
 	if ready != nil {

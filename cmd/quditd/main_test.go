@@ -308,3 +308,22 @@ func TestRunFleetSmoke(t *testing.T) {
 		t.Fatal("coordinator did not shut down")
 	}
 }
+
+// TestNewHTTPServerBounds pins the connection bounds every role's
+// server gets, and that the whole-request timeouts stay off so
+// long-polls and SSE streams are not cut.
+func TestNewHTTPServerBounds(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v", srv.IdleTimeout)
+	}
+	if srv.MaxHeaderBytes != maxHeaderBytes || srv.MaxHeaderBytes <= 0 || srv.MaxHeaderBytes >= http.DefaultMaxHeaderBytes {
+		t.Errorf("MaxHeaderBytes = %d", srv.MaxHeaderBytes)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; long-polls and SSE need both unset", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

@@ -72,11 +72,10 @@ func (o MappingOptions) withDefaults() MappingOptions {
 	return o
 }
 
-// commCost prices a two-qudit gate between two modes: co-located gates
-// cost 1, adjacent-cavity gates 2, and farther pairs pay 2 swaps per
-// extra hop.
-func commCost(dev Device, a, b int) float64 {
-	dist := dev.Distance(a, b)
+// commCost prices a two-qudit gate between two modes dist cavities
+// apart: co-located gates cost 1, adjacent-cavity gates 2, and farther
+// pairs pay 2 swaps per extra hop.
+func commCost(dist int) float64 {
 	switch {
 	case dist == 0:
 		return 1
@@ -87,39 +86,91 @@ func commCost(dev Device, a, b int) float64 {
 	}
 }
 
-// decohCost prices placing a busy qudit on a short-lived mode, relative
-// to the best T1 on the device.
-func decohCost(dev Device, mode int, usage float64) float64 {
-	p, err := dev.ModeParams(mode)
-	if err != nil {
-		return math.Inf(1)
+// costTable holds every term of the placement objective that does not
+// depend on the assignment, so evaluating one assignment is a fixed walk
+// of table lookups: no device scans and no allocation.
+type costTable struct {
+	edges  []InteractionEdge
+	nModes int
+	// comm[a*nModes+b] is commCost between flat modes a and b.
+	comm []float64
+	// usage[q] is the summed weight of the edges touching qudit q,
+	// accumulated in edge order.
+	usage []float64
+	// excess[m] is best/T1(m) − 1: the decoherence price per unit of
+	// usage of hosting a qudit on mode m, relative to the device's best
+	// T1.
+	excess []float64
+}
+
+func newCostTable(dev Device, numLogical int, edges []InteractionEdge) *costTable {
+	n := dev.NumModes()
+	t := &costTable{
+		edges:  edges,
+		nModes: n,
+		comm:   make([]float64, n*n),
+		usage:  make([]float64, numLogical),
+		excess: make([]float64, n),
 	}
+	cavityOf := make([]int, 0, n)
 	best := 0.0
-	for _, c := range dev.Cavities {
-		for _, m := range c.Modes {
+	for c, cav := range dev.Cavities {
+		for _, m := range cav.Modes {
+			cavityOf = append(cavityOf, c)
 			if m.T1Sec > best {
 				best = m.T1Sec
 			}
 		}
 	}
-	return usage * (best/p.T1Sec - 1)
+	for a, ca := range cavityOf {
+		for b, cb := range cavityOf {
+			dist := ca - cb
+			if dist < 0 {
+				dist = -dist
+			}
+			t.comm[a*n+b] = commCost(dist)
+		}
+	}
+	m := 0
+	for _, cav := range dev.Cavities {
+		for _, p := range cav.Modes {
+			t.excess[m] = best/p.T1Sec - 1
+			m++
+		}
+	}
+	for _, e := range edges {
+		t.usage[e.U] += e.Weight
+		t.usage[e.V] += e.Weight
+	}
+	return t
+}
+
+// cost evaluates the objective of an on-device assignment: the
+// swap-weighted communication of every edge in edge order, then each
+// qudit's decoherence penalty in qudit order.
+func (t *costTable) cost(assign []int) float64 {
+	var cost float64
+	for _, e := range t.edges {
+		cost += e.Weight * t.comm[assign[e.U]*t.nModes+assign[e.V]]
+	}
+	for q, mode := range assign {
+		cost += t.usage[q] * t.excess[mode]
+	}
+	return cost
 }
 
 // MappingCost evaluates the noise-aware objective of an assignment:
 // total swap-weighted communication plus the decoherence penalty of
-// hosting heavily used qudits on lossier modes.
+// hosting heavily used qudits on lossier modes. An assignment that uses
+// a mode outside the device costs +Inf.
 func MappingCost(dev Device, edges []InteractionEdge, assign []int) float64 {
-	var cost float64
-	usage := make([]float64, len(assign))
-	for _, e := range edges {
-		cost += e.Weight * commCost(dev, assign[e.U], assign[e.V])
-		usage[e.U] += e.Weight
-		usage[e.V] += e.Weight
+	n := dev.NumModes()
+	for _, mode := range assign {
+		if mode < 0 || mode >= n {
+			return math.Inf(1)
+		}
 	}
-	for q, mode := range assign {
-		cost += decohCost(dev, mode, usage[q])
-	}
-	return cost
+	return newCostTable(dev, len(assign), edges).cost(assign)
 }
 
 // MapIdentity places logical qudit q on flat mode q.
@@ -156,14 +207,22 @@ func MapNoiseAware(rng *rand.Rand, dev Device, numLogical int, edges []Interacti
 	}
 	opts = opts.withDefaults()
 
-	assign := greedyPlace(dev, numLogical, edges)
-	cost := MappingCost(dev, edges, assign)
+	// Every step re-evaluates the whole objective from one table, with
+	// the arithmetic of MappingCost in its order, so the rng draws, the
+	// acceptance decisions and the returned Cost are those of a fresh
+	// MappingCost call per step.
+	table := newCostTable(dev, numLogical, edges)
+	assign := greedyPlace(table.usage)
+	cost := table.cost(assign)
 
 	best := append([]int(nil), assign...)
 	bestCost := cost
-	occupied := make(map[int]int, numLogical) // mode -> logical (or -1)
+	occupant := make([]int, nModes) // mode -> logical qudit, -1 when free
+	for m := range occupant {
+		occupant[m] = -1
+	}
 	for q, m := range assign {
-		occupied[m] = q
+		occupant[m] = q
 	}
 
 	temp := opts.StartTemp
@@ -175,19 +234,15 @@ func MapNoiseAware(rng *rand.Rand, dev Device, numLogical int, edges []Interacti
 		if newMode == oldMode {
 			continue
 		}
-		other, taken := occupied[newMode]
+		other := occupant[newMode]
 		assign[q] = newMode
-		if taken {
+		if other >= 0 {
 			assign[other] = oldMode
 		}
-		newCost := MappingCost(dev, edges, assign)
+		newCost := table.cost(assign)
 		if newCost <= cost || rng.Float64() < math.Exp((cost-newCost)/temp) {
 			cost = newCost
-			delete(occupied, oldMode)
-			occupied[newMode] = q
-			if taken {
-				occupied[oldMode] = other
-			}
+			occupant[newMode], occupant[oldMode] = q, other
 			if cost < bestCost {
 				bestCost = cost
 				copy(best, assign)
@@ -195,7 +250,7 @@ func MapNoiseAware(rng *rand.Rand, dev Device, numLogical int, edges []Interacti
 		} else {
 			// revert
 			assign[q] = oldMode
-			if taken {
+			if other >= 0 {
 				assign[other] = newMode
 			}
 		}
@@ -206,13 +261,9 @@ func MapNoiseAware(rng *rand.Rand, dev Device, numLogical int, edges []Interacti
 
 // greedyPlace orders logical qudits by interaction degree and walks the
 // device's modes in chain order, so strongly coupled qudits land in the
-// same or adjacent cavities.
-func greedyPlace(dev Device, numLogical int, edges []InteractionEdge) []int {
-	degree := make([]float64, numLogical)
-	for _, e := range edges {
-		degree[e.U] += e.Weight
-		degree[e.V] += e.Weight
-	}
+// same or adjacent cavities. degree[q] is qudit q's summed edge weight.
+func greedyPlace(degree []float64) []int {
+	numLogical := len(degree)
 	order := make([]int, numLogical)
 	for i := range order {
 		order[i] = i

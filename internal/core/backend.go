@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"quditkit/internal/circuit"
@@ -97,9 +98,9 @@ type StatevectorBackend struct{}
 func (StatevectorBackend) Kind() BackendKind { return Statevector }
 
 // Execute implements Backend. The circuit runs through a cached
-// compiled Plan; sampling shares the qmath binary-search sampler and a
-// reusable digit decoder, so the per-shot cost is one rng draw, one
-// O(log D) lookup, and one histogram insert.
+// compiled Plan; sampling shares the qmath binary-search sampler, so
+// the per-shot cost is one rng draw and one O(log D) lookup, and the
+// histogram renders one key per distinct outcome.
 func (StatevectorBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution, error) {
 	if err := spec.context().Err(); err != nil {
 		return Execution{}, err
@@ -122,12 +123,11 @@ func (StatevectorBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution,
 		rng := rand.New(rand.NewSource(spec.Seed))
 		var sampler qmath.CDFSampler
 		sampler.Load(ws.BornProbabilities())
-		dec := hilbert.NewDigitDecoder(plan.Space())
-		counts := make(Counts)
-		for s := 0; s < spec.Shots; s++ {
-			counts.Add(dec.Decode(sampler.Draw(rng)))
+		outcomes := make([]int, spec.Shots)
+		for s := range outcomes {
+			outcomes[s] = sampler.Draw(rng)
 		}
-		out.Counts = counts
+		out.Counts = countsFromIndices(plan.Space(), outcomes)
 	}
 	return out, nil
 }
@@ -207,30 +207,6 @@ const (
 	trajStripeCap = 64
 	trajStripeMem = 1 << 24 // floats across all stripes (128 MiB)
 )
-
-// shotSource is the trajectory engine's rand.Source64: splitmix64 with
-// an O(1) Seed. The default math/rand source expands every Seed into a
-// 607-word lagged-Fibonacci table — profiled at ~46% of a compiled
-// noisy shot, because the engine reseeds per shot to give trajectory t
-// its own (seed, t)-derived stream. Every trajectory path (interpreted,
-// compiled, batched, any worker count) draws from this same generator,
-// which is what preserves their byte-identity; the per-stream variates
-// differ from the old source, which is fine — no contract pins
-// trajectory results across versions, only across paths and worker
-// counts within one build.
-type shotSource struct{ s uint64 }
-
-func (src *shotSource) Seed(seed int64) { src.s = uint64(seed) }
-
-func (src *shotSource) Uint64() uint64 {
-	src.s += 0x9e3779b97f4a7c15
-	z := src.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (src *shotSource) Int63() int64 { return int64(src.Uint64() >> 1) }
 
 func trajectoryStripes(shots, dim int) int {
 	s := trajStripeCap
@@ -313,7 +289,7 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 					if bw.Width() > 1 {
 						rngs = make([]*rand.Rand, bw.Width())
 						for i := range rngs {
-							rngs[i] = rand.New(new(shotSource))
+							rngs[i] = rand.New(new(qmath.ShotSource))
 						}
 					} else {
 						bw = nil // memory clamp degenerated to 1: single-shot path
@@ -331,7 +307,7 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 			var sampler qmath.CDFSampler
 			// One reseeded rng per worker replaces one allocation per
 			// shot; Seed restarts the per-shot stream in O(1).
-			rng := rand.New(new(shotSource))
+			rng := rand.New(new(qmath.ShotSource))
 			// Strided stripe assignment: deterministic, and it balances
 			// the pool without a shared queue.
 			for s := w; s < stripes; s += workers {
@@ -442,23 +418,33 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 		out.State = first
 	}
 	if spec.Shots > 0 {
-		counts := make(Counts, len(outcomes))
-		dec := hilbert.NewDigitDecoder(sp)
-		for _, idx := range outcomes {
-			counts.Add(dec.Decode(idx))
-		}
-		out.Counts = counts
+		out.Counts = countsFromIndices(sp, outcomes)
 	}
 	return out, nil
 }
 
-// countsFromIndices builds a histogram from sampled flat basis indices,
-// decoding digits through one reusable buffer.
+// countsFromIndices builds a histogram from sampled flat basis indices.
+// It sorts idxs in place and renders one key per distinct outcome, so
+// key rendering scales with the outcomes seen rather than the shots
+// taken, and the map is sized to its final population. The entries are
+// exactly those of one Counts.Add per shot.
 func countsFromIndices(sp *hilbert.Space, idxs []int) Counts {
-	counts := make(Counts)
+	slices.Sort(idxs)
+	distinct := 0
+	for i, k := range idxs {
+		if i == 0 || k != idxs[i-1] {
+			distinct++
+		}
+	}
+	counts := make(Counts, distinct)
 	dec := hilbert.NewDigitDecoder(sp)
-	for _, k := range idxs {
-		counts.Add(dec.Decode(k))
+	for i := 0; i < len(idxs); {
+		j := i + 1
+		for j < len(idxs) && idxs[j] == idxs[i] {
+			j++
+		}
+		counts[CountsKey(dec.Decode(idxs[i]))] = j - i
+		i = j
 	}
 	return counts
 }

@@ -11,6 +11,7 @@ import (
 	"quditkit/internal/gates"
 	"quditkit/internal/hilbert"
 	"quditkit/internal/noise"
+	"quditkit/internal/qmath"
 )
 
 // randomQutritCircuit builds a seeded 3-qutrit circuit mixing Givens
@@ -230,4 +231,91 @@ func TestSubmitLogicalProjection(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCountsMatchPerShotAdd rebuilds each backend's histogram from its
+// own draws with one Counts.Add per shot — the construction the
+// outcome-tallying path replaced — and requires identical maps.
+func TestCountsMatchPerShotAdd(t *testing.T) {
+	const shots, seed = 300, 41
+	c := randomQutritCircuit(t, 5, 3)
+	model := noise.Model{Depol1: 2e-3, Depol2: 1e-2, Damping: 5e-3}
+	dec := hilbert.NewDigitDecoder(mustSpace(t, c))
+
+	pure, err := planFor(c, noise.Model{}, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := pure.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pure.RunPure(ws)
+	var sampler qmath.CDFSampler
+	sampler.Load(ws.BornProbabilities())
+	rng := rand.New(rand.NewSource(seed))
+	wantSV := make(Counts)
+	for s := 0; s < shots; s++ {
+		wantSV.Add(dec.Decode(sampler.Draw(rng)))
+	}
+
+	noisy, err := planFor(c, model, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := noisy.RunDensity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDM := make(Counts)
+	for _, k := range r.Sample(rand.New(rand.NewSource(seed)), shots) {
+		wantDM.Add(dec.Decode(k))
+	}
+
+	tws, err := noisy.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trng := rand.New(new(qmath.ShotSource))
+	wantTraj := make(Counts)
+	for s := 0; s < shots; s++ {
+		trng.Seed(mixSeed(seed, uint64(s)))
+		if _, err := noisy.RunShot(tws, trng); err != nil {
+			t.Fatal(err)
+		}
+		sampler.Load(tws.BornProbabilities())
+		wantTraj.Add(dec.Decode(sampler.Draw(trng)))
+	}
+
+	for _, tc := range []struct {
+		name string
+		be   Backend
+		spec ExecSpec
+		want Counts
+	}{
+		{"statevector", StatevectorBackend{}, ExecSpec{Shots: shots, Seed: seed}, wantSV},
+		{"density", DensityMatrixBackend{}, ExecSpec{Noise: model, Shots: shots, Seed: seed}, wantDM},
+		{"trajectory", TrajectoryBackend{}, ExecSpec{Noise: model, Shots: shots, Seed: seed, Workers: 3}, wantTraj},
+		{"trajectory-interpreted", TrajectoryBackend{Interpreted: true}, ExecSpec{Noise: model, Shots: shots, Seed: seed}, wantTraj},
+	} {
+		exec, err := tc.be.Execute(c, tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !exec.Counts.Equal(tc.want) {
+			t.Errorf("%s: counts %v, per-shot Add %v", tc.name, exec.Counts, tc.want)
+		}
+		if len(tc.want) < 2 {
+			t.Errorf("%s: only %d distinct outcomes; the check needs several", tc.name, len(tc.want))
+		}
+	}
+}
+
+func mustSpace(t *testing.T, c *circuit.Circuit) *hilbert.Space {
+	t.Helper()
+	sp, err := hilbert.NewSpace(c.Dims())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
 }

@@ -165,6 +165,8 @@ func (m *Manager) WriteMetrics(b *metrics.Buffer) {
 			Add(float64(js.Appends))
 		b.Family("quditd_sweep_journal_compactions_total", "Sweep journal snapshot rewrites.", metrics.Counter).
 			Add(float64(js.Compactions))
+		b.Family("quditd_sweep_journal_failures_total", "Sweep journal appends and compactions that failed.", metrics.Counter).
+			Add(float64(js.Failures))
 		b.Family("quditd_sweep_journal_replayed", "Sweeps resumed from the journal at startup.", metrics.Gauge).
 			Add(float64(js.Replayed))
 	}

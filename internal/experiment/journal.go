@@ -117,9 +117,10 @@ func settleRecordLocked(s *sweep, rec *cellRecord) cellSettleRecord {
 	}
 }
 
-// journalCellSettle appends one cell's settlement. Append errors are
-// dropped: the worst outcome of a lost cell record is one benign,
-// deterministic re-execution of that cell after a restart.
+// journalCellSettle appends one cell's settlement. Append errors do
+// not fail the cell: the worst outcome of a lost cell record is one
+// benign, deterministic re-execution of that cell after a restart. The
+// journal counts each failure (quditd_sweep_journal_failures_total).
 func (m *Manager) journalCellSettle(crec cellSettleRecord) {
 	jl := m.cfg.Journal
 	if jl == nil {
@@ -132,7 +133,8 @@ func (m *Manager) journalCellSettle(crec cellSettleRecord) {
 }
 
 // journalSweepSettle makes a sweep's terminal state durable and drops
-// it from the unsettled working set.
+// it from the unsettled working set. Like a cell settle, a failed
+// append is counted by the journal and costs at most one re-run.
 func (m *Manager) journalSweepSettle(s *sweep, state string) {
 	jl := m.cfg.Journal
 	if jl == nil {
@@ -152,7 +154,8 @@ func (m *Manager) journalSweepSettle(s *sweep, state string) {
 }
 
 // maybeCompact triggers snapshot compaction once the WAL tail exceeds
-// the configured threshold.
+// the configured threshold. A failed compaction leaves the WAL intact,
+// so it only delays the next snapshot; the journal counts it.
 func (m *Manager) maybeCompact() {
 	jl := m.cfg.Journal
 	if jl == nil || jl.Stats().TailRecords < m.cfg.JournalCompactEvery {

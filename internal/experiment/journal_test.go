@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"quditkit/internal/journal"
+	"quditkit/internal/metrics"
 	"quditkit/internal/serve"
 )
 
@@ -351,5 +352,30 @@ func TestSweepJournalEventSeqResume(t *testing.T) {
 	// cells).
 	if !strings.Contains(last.State, SweepCompleted) || last.Seq != 1+view.TotalCells {
 		t.Fatalf("terminal event = %+v, want seq %d", last, 1+view.TotalCells)
+	}
+}
+
+// TestSweepJournalFailuresRender: a sweep-journal append refused after
+// Close is counted and rendered on /metrics.
+func TestSweepJournalFailuresRender(t *testing.T) {
+	jl, _ := openSweepJournal(t, t.TempDir())
+	m := newTestManager(t, decayRunner(), Config{Journal: jl})
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Append(recCellSettle, []byte("{}")); err == nil {
+		t.Fatal("Append after Close succeeded")
+	}
+	if js := m.JournalStats(); js == nil || js.Failures != 1 {
+		t.Fatalf("sweep journal stats = %+v, want failures 1", js)
+	}
+	var b metrics.Buffer
+	m.WriteMetrics(&b)
+	var out strings.Builder
+	if _, err := b.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\nquditd_sweep_journal_failures_total 1\n") {
+		t.Fatalf("/metrics lacks the sweep failure counter:\n%s", out.String())
 	}
 }

@@ -101,6 +101,11 @@ type Stats struct {
 	// Compactions counts snapshot rewrites since this process opened
 	// the journal.
 	Compactions int64 `json:"compactions"`
+	// Failures counts Append and Compact calls that returned an error
+	// since this process opened the journal, including calls refused
+	// after Close or after the journal broke. Consumers that continue
+	// past a failed append still surface it here.
+	Failures int64 `json:"failures"`
 }
 
 // Journal is an open write-ahead log. All methods are safe for
@@ -117,6 +122,7 @@ type Journal struct {
 	tail        int
 	appends     int64
 	compactions int64
+	failures    int64
 	broken      error // sticky: set when an append failed mid-write
 }
 
@@ -335,11 +341,21 @@ func readSnapshot(path string) ([]byte, int64, error) {
 // every subsequent Append returns the original error and the caller
 // should fail the operation it was trying to make durable.
 func (j *Journal) Append(kind uint8, payload []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.appendLocked(kind, payload)
+	if err != nil {
+		j.failures++
+	}
+	return err
+}
+
+// appendLocked is Append's body; the caller holds j.mu and counts a
+// returned error as a failure.
+func (j *Journal) appendLocked(kind uint8, payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("journal: record payload %d bytes exceeds cap %d", len(payload), MaxRecord)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.broken != nil {
 		return j.broken
 	}
@@ -381,11 +397,21 @@ func (j *Journal) Append(kind uint8, payload []byte) error {
 // reflect can land between their state capture and this call (quditkit
 // consumers hold their admission lock across both).
 func (j *Journal) Compact(snapshot []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.compactLocked(snapshot)
+	if err != nil {
+		j.failures++
+	}
+	return err
+}
+
+// compactLocked is Compact's body; the caller holds j.mu and counts a
+// returned error as a failure.
+func (j *Journal) compactLocked(snapshot []byte) error {
 	if len(snapshot) > MaxRecord {
 		return fmt.Errorf("journal: snapshot %d bytes exceeds cap %d", len(snapshot), MaxRecord)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.broken != nil {
 		return j.broken
 	}
@@ -455,6 +481,7 @@ func (j *Journal) Stats() Stats {
 		TailRecords:   j.tail,
 		Appends:       j.appends,
 		Compactions:   j.compactions,
+		Failures:      j.failures,
 	}
 }
 

@@ -285,11 +285,17 @@ func TestStatsAndClose(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	if st.Failures != 0 {
+		t.Fatalf("failures before any failed call = %d", st.Failures)
+	}
 	if err := j.Append(1, []byte("x")); err == nil {
 		t.Fatal("Append after Close succeeded")
 	}
 	if err := j.Compact([]byte("x")); err == nil {
 		t.Fatal("Compact after Close succeeded")
+	}
+	if st := j.Stats(); st.Failures != 2 || st.Appends != 1 {
+		t.Fatalf("stats after two refused calls = %+v, want failures 2, appends 1", st)
 	}
 }
 
@@ -306,5 +312,8 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 	if err := j.Compact(huge); err == nil {
 		t.Fatal("oversize Compact succeeded")
+	}
+	if st := j.Stats(); st.Failures != 2 {
+		t.Fatalf("failures after two oversize calls = %d, want 2", st.Failures)
 	}
 }

@@ -117,9 +117,10 @@ func (s *Service) admitJournaledLocked(sh *shardQueue, j *job, payload []byte) (
 
 // journalSettle makes a journaled job's terminal state durable and
 // triggers compaction when the WAL tail has grown past the configured
-// threshold. Append errors are dropped deliberately: the job already
+// threshold. Append and Compact errors do not fail the job: it already
 // settled in memory, and the worst outcome of a lost settle record is
-// one benign, deterministic re-execution after a restart.
+// one benign, deterministic re-execution after a restart. The journal
+// counts each failure (quditd_journal_failures_total).
 func (s *Service) journalSettle(id JobID, state JobState) {
 	jl := s.cfg.Journal
 	if jl == nil {

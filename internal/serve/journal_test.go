@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"quditkit/internal/core"
 	"quditkit/internal/journal"
+	"quditkit/internal/metrics"
 	"quditkit/internal/noise"
 )
 
@@ -351,5 +353,30 @@ func TestReplayCorruptPayloadFailsLoudly(t *testing.T) {
 	s := newTestService(t, Config{Journal: jl2})
 	if _, err := s.Replay(rcv); err == nil {
 		t.Fatal("corrupt payload replayed silently")
+	}
+}
+
+// TestJournalFailuresRender: an append the journal refuses — here one
+// after Close — is counted in /v1/stats and rendered on /metrics.
+func TestJournalFailuresRender(t *testing.T) {
+	jl, _ := openJournal(t, t.TempDir())
+	s := newTestService(t, Config{Journal: jl, Shards: 1})
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Append(recJobSettle, []byte("{}")); err == nil {
+		t.Fatal("Append after Close succeeded")
+	}
+	if st := s.Stats(); st.Journal == nil || st.Journal.Failures != 1 {
+		t.Fatalf("journal stats = %+v, want failures 1", st.Journal)
+	}
+	var b metrics.Buffer
+	s.WriteMetrics(&b)
+	var out strings.Builder
+	if _, err := b.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\nquditd_journal_failures_total 1\n") {
+		t.Fatalf("/metrics lacks the failure counter:\n%s", out.String())
 	}
 }

@@ -55,6 +55,8 @@ func (s *Service) WriteMetrics(b *metrics.Buffer) {
 			Add(float64(st.Journal.Appends))
 		b.Family("quditd_journal_compactions_total", "Journal snapshot rewrites.", metrics.Counter).
 			Add(float64(st.Journal.Compactions))
+		b.Family("quditd_journal_failures_total", "Journal appends and compactions that failed.", metrics.Counter).
+			Add(float64(st.Journal.Failures))
 		b.Family("quditd_journal_replayed", "Jobs restored from the journal at startup.", metrics.Gauge).
 			Add(float64(st.Journal.Replayed))
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -126,6 +127,10 @@ func BuildCircuit(spec CircuitSpec) (*circuit.Circuit, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	var totalEntries int64
+	// Repeated ops share one built gate: constructors are pure functions
+	// of the reuse key, and nothing downstream writes to a gate matrix,
+	// so a shared gate is indistinguishable from a fresh build.
+	built := make(map[gateKey]gates.Gate)
 	for i, op := range spec.Ops {
 		// Charge the allocation budget before constructing anything:
 		// gate unitaries are materialized dense, ahead of any
@@ -150,15 +155,66 @@ func BuildCircuit(spec CircuitSpec) (*circuit.Circuit, error) {
 					int64(MaxCircuitMatrixEntries), i)
 			}
 		}
-		g, err := buildGate(spec.Dims, op)
-		if err != nil {
-			return nil, fmt.Errorf("serve: op %d: %w", i, err)
+		key, keyed := reuseKey(spec.Dims, op)
+		g, ok := built[key]
+		if !keyed || !ok {
+			var err error
+			if g, err = buildGate(spec.Dims, op); err != nil {
+				return nil, fmt.Errorf("serve: op %d: %w", i, err)
+			}
+			if keyed {
+				built[key] = g
+			}
 		}
 		if err := c.Append(g, op.Targets...); err != nil {
 			return nil, fmt.Errorf("serve: op %d (%s): %w", i, op.Gate, err)
 		}
 	}
 	return c, nil
+}
+
+// gateKey identifies one distinct gate build: the lowercased name, the
+// target dimensions and every other OpSpec field, floats by their bits.
+// Two ops with equal keys get equal gates from buildGate.
+type gateKey struct {
+	name             string
+	nTargets         int
+	targetDims       [2]int
+	k, level         int
+	theta, phi, beta uint64
+	phases           string
+}
+
+// reuseKey returns op's gateKey, or false when op cannot share a build:
+// a target outside the register or more targets than any gate takes,
+// both of which buildGate rejects.
+func reuseKey(dims []int, op OpSpec) (gateKey, bool) {
+	key := gateKey{
+		name:     strings.ToLower(op.Gate),
+		nTargets: len(op.Targets),
+		k:        op.K,
+		level:    op.Level,
+		theta:    math.Float64bits(op.Theta),
+		phi:      math.Float64bits(op.Phi),
+		beta:     math.Float64bits(op.Beta),
+	}
+	if len(op.Targets) > len(key.targetDims) {
+		return gateKey{}, false
+	}
+	for i, t := range op.Targets {
+		if t < 0 || t >= len(dims) {
+			return gateKey{}, false
+		}
+		key.targetDims[i] = dims[t]
+	}
+	if len(op.Phases) > 0 {
+		buf := make([]byte, 8*len(op.Phases))
+		for i, p := range op.Phases {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(p))
+		}
+		key.phases = string(buf)
+	}
+	return key, true
 }
 
 // gateSpec is one gate-vocabulary entry: its arity and constructor.
