@@ -19,7 +19,10 @@
 // is exactly the intersection.
 //
 // Allocation metrics (allocs/op, B/op) are deterministic across
-// machines, so they get the tight default threshold. Wall-clock ns/op
+// machines at a fixed GOMAXPROCS, so they get the tight default
+// threshold. A benchmark whose goroutine count follows GOMAXPROCS
+// allocates per goroutine; run it at the -cpu its baseline was taken
+// at, since the -N name suffix is stripped. Wall-clock ns/op
 // varies with the host CPU; -ns-threshold loosens only that metric
 // (zero means "use -threshold", a negative value skips ns comparison
 // entirely).

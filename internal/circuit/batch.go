@@ -8,11 +8,13 @@ import (
 	"quditkit/internal/state"
 )
 
-// maxBatchAmps caps a batch arena at 1<<22 complex128 (64 MiB) per
-// workspace: NewBatchWorkspace shrinks the requested width so
-// width*dim stays under it, keeping per-worker memory bounded no
-// matter what batch size a request asks for.
-const maxBatchAmps = 1 << 22
+// MaxBatchAmps is the batch-arena budget of one trajectory job:
+// 1<<22 complex128 (64 MiB). NewBatchWorkspace shrinks the requested
+// width so one arena's width*dim stays under it, and a pool of workers
+// shares it (core gives each worker an equal part), so a job's batch
+// memory is bounded no matter what batch size or pool width a request
+// asks for.
+const MaxBatchAmps = 1 << 22
 
 // BatchWorkspace owns the mutable state of one worker streaming K
 // trajectory shots through a Plan together: a vector-major arena of K
@@ -36,7 +38,7 @@ type BatchWorkspace struct {
 }
 
 // NewBatchWorkspace allocates a workspace holding up to k state
-// vectors, clamping k to at least 1 and to the maxBatchAmps memory
+// vectors, clamping k to at least 1 and to the MaxBatchAmps memory
 // budget. Callers must size their shot groups to Width(), which
 // reports the clamped value.
 func (p *Plan) NewBatchWorkspace(k int) (*BatchWorkspace, error) {
@@ -48,7 +50,7 @@ func (p *Plan) NewBatchWorkspace(k int) (*BatchWorkspace, error) {
 	if k < 1 {
 		k = 1
 	}
-	if max := maxBatchAmps / dim; k > max {
+	if max := MaxBatchAmps / dim; k > max {
 		k = max
 		if k < 1 {
 			k = 1

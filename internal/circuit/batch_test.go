@@ -120,7 +120,7 @@ func testBatchMatchesSingle(t *testing.T, model noise.Model, wantFused int) {
 }
 
 // TestBatchWorkspaceClampsWidth pins the arena memory budget: widths
-// below 1 round up, and requests whose arena would exceed maxBatchAmps
+// below 1 round up, and requests whose arena would exceed MaxBatchAmps
 // amplitudes shrink to the largest width that fits.
 func TestBatchWorkspaceClampsWidth(t *testing.T) {
 	c := mustCircuit(t, hilbert.Dims{3, 3}, step{gates.DFT(3), []int{0}})
@@ -140,9 +140,9 @@ func TestBatchWorkspaceClampsWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := maxBatchAmps / dim; bw.Width() != want {
+	if want := MaxBatchAmps / dim; bw.Width() != want {
 		t.Fatalf("oversized request clamped to %d, want %d (budget %d / dim %d)",
-			bw.Width(), want, maxBatchAmps, dim)
+			bw.Width(), want, MaxBatchAmps, dim)
 	}
 }
 

@@ -44,12 +44,19 @@ func (c *Circuit) Dims() hilbert.Dims { return c.space.Dims() }
 // NumWires returns the register width.
 func (c *Circuit) NumWires() int { return c.space.NumWires() }
 
+// Dim returns the local dimension of wire w.
+func (c *Circuit) Dim(w int) int { return c.space.Dim(w) }
+
 // Ops returns a copy of the op list.
 func (c *Circuit) Ops() []Op {
 	out := make([]Op, len(c.ops))
 	copy(out, c.ops)
 	return out
 }
+
+// Op returns the i-th gate application without copying the op list.
+// Its Targets alias the circuit's, exactly as those of Ops do.
+func (c *Circuit) Op(i int) Op { return c.ops[i] }
 
 // Len returns the number of gate applications.
 func (c *Circuit) Len() int { return len(c.ops) }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"quditkit/internal/circuit"
 	"quditkit/internal/density"
@@ -33,10 +34,12 @@ type ExecSpec struct {
 	// devices or transpile levels never alias.
 	TranspileFP uint64
 	// ShotBatch streams up to this many trajectory state vectors through
-	// the plan together per worker (Trajectory backend only). Values
-	// below 2 select the single-shot path. Results are bit-for-bit
-	// identical for every batch size — the differential suite enforces
-	// it — so the knob trades memory for throughput, never accuracy.
+	// the plan together per worker (Trajectory backend only), capped at
+	// the shots one stripe holds and at the worker's share of the job's
+	// circuit.MaxBatchAmps arena budget. Values below 2 select the
+	// single-shot path. Results are bit-for-bit identical for every
+	// batch size — the differential suite enforces it — so the knob
+	// trades memory for throughput, never accuracy.
 	ShotBatch int
 	// DisableFusion compiles the plan without gate fusion. It exists for
 	// the differential and benchmark ablation paths; production requests
@@ -178,7 +181,9 @@ func (DensityMatrixBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Executio
 // sampling reuses one binary-search CDF — O(1) amortized allocations
 // per shot. Probabilities accumulate into fixed stripes (shot index mod
 // stripe count, merged in stripe order), so MeanProbs is byte-identical
-// at any worker count, not just statistically equivalent.
+// at any worker count, not just statistically equivalent. Workers claim
+// stripes from a shared counter until none is left, so a worker on a
+// slowed core simply claims fewer of them.
 type TrajectoryBackend struct {
 	// Interpreted forces the legacy per-op interpreter
 	// (Circuit.RunTrajectory) instead of the compiled Plan engine. Both
@@ -222,6 +227,16 @@ func trajectoryStripes(shots, dim int) int {
 	return s
 }
 
+// trajectoryBatch is the batch width each of a job's workers streams:
+// the requested width, capped at the shots one stripe holds (a batch
+// never spans stripes) and at an equal share of the job's
+// circuit.MaxBatchAmps arena budget, so a job's batch memory does not
+// grow with its pool width. Below 2 the workers take the single-shot
+// path.
+func trajectoryBatch(requested, shots, stripes, workers, dim int) int {
+	return min(requested, (shots+stripes-1)/stripes, circuit.MaxBatchAmps/(workers*dim))
+}
+
 // Execute implements Backend.
 func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution, error) {
 	ctx := spec.context()
@@ -256,6 +271,7 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 	if workers > stripes {
 		workers = stripes
 	}
+	batch := trajectoryBatch(spec.ShotBatch, shots, stripes, workers, dim)
 
 	outcomes := make([]int, shots)
 	noiseless := spec.Noise.IsZero()
@@ -267,9 +283,12 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 		partials[s] = partialBlock[s*dim : (s+1)*dim]
 	}
 	errs := make([]error, workers)
-	// Shot 0 lives in stripe 0, which worker 0 owns, so this is written
-	// by exactly one goroutine and read only after Wait.
+	// Shot 0 lives in stripe 0, which exactly one worker claims, so this
+	// is written by one goroutine and read only after Wait.
 	var first *state.Vec
+	// nextStripe is the shared claim counter: Add(1)-1 hands out each
+	// stripe index exactly once.
+	var nextStripe atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -279,23 +298,18 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 			var bw *circuit.BatchWorkspace
 			var rngs []*rand.Rand
 			if !b.Interpreted {
-				if spec.ShotBatch > 1 {
+				if batch > 1 {
 					var err error
-					bw, err = plan.NewBatchWorkspace(spec.ShotBatch)
+					bw, err = plan.NewBatchWorkspace(batch)
 					if err != nil {
 						errs[w] = fmt.Errorf("%w: %v", ErrNotSimulable, err)
 						return
 					}
-					if bw.Width() > 1 {
-						rngs = make([]*rand.Rand, bw.Width())
-						for i := range rngs {
-							rngs[i] = rand.New(new(qmath.ShotSource))
-						}
-					} else {
-						bw = nil // memory clamp degenerated to 1: single-shot path
+					rngs = make([]*rand.Rand, bw.Width())
+					for i := range rngs {
+						rngs[i] = rand.New(new(qmath.ShotSource))
 					}
-				}
-				if bw == nil {
+				} else {
 					var err error
 					ws, err = plan.NewWorkspace()
 					if err != nil {
@@ -308,9 +322,9 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 			// One reseeded rng per worker replaces one allocation per
 			// shot; Seed restarts the per-shot stream in O(1).
 			rng := rand.New(new(qmath.ShotSource))
-			// Strided stripe assignment: deterministic, and it balances
-			// the pool without a shared queue.
-			for s := w; s < stripes; s += workers {
+			// A stripe's accumulator row, shots and rng streams are fixed
+			// by its index, so which worker claims it changes no byte.
+			for s := int(nextStripe.Add(1) - 1); s < stripes; s = int(nextStripe.Add(1) - 1) {
 				local := partials[s]
 				if bw != nil {
 					// Batched: group the stripe's shots bw.Width() at a

@@ -120,10 +120,7 @@ func (p *Processor) runJob(job Job) (Result, error) {
 	if job.Circuit == nil {
 		return Result{}, fmt.Errorf("core: job has no circuit")
 	}
-	cfg := defaultRunConfig()
-	for _, opt := range job.opts {
-		opt(&cfg)
-	}
+	cfg := resolveOptions(job.opts)
 	if cfg.ctx != nil {
 		if err := cfg.ctx.Err(); err != nil {
 			return Result{}, err
@@ -224,10 +221,7 @@ func (p *Processor) Transpile(logical *circuit.Circuit, opts ...RunOption) (*tra
 	if logical == nil {
 		return nil, fmt.Errorf("core: Transpile requires a circuit")
 	}
-	cfg := defaultRunConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := resolveOptions(opts)
 	seed := cfg.seed
 	if !cfg.seedSet {
 		seed = p.jobSeed(logical)

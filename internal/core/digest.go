@@ -25,10 +25,7 @@ import (
 // Submissions differing only in those options therefore share a cache
 // entry.
 func OptionsDigest(opts ...RunOption) uint64 {
-	cfg := defaultRunConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := resolveOptions(opts)
 	h := fnv.New64a()
 	var buf [8]byte
 	writeU64 := func(v uint64) {
@@ -77,10 +74,7 @@ func OptionsDigest(opts ...RunOption) uint64 {
 // the plan-cache key shape (Fingerprint, TranspileFP, model) and stays
 // correct even if OptionsDigest's coverage evolves.
 func TranspileKey(opts ...RunOption) uint64 {
-	cfg := defaultRunConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := resolveOptions(opts)
 	h := fnv.New64a()
 	var buf [8]byte
 	writeU64 := func(v uint64) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"quditkit/internal/arch"
 	"quditkit/internal/noise"
@@ -57,6 +58,26 @@ type runConfig struct {
 
 func defaultRunConfig() runConfig {
 	return runConfig{backend: Statevector, workers: 1}
+}
+
+// configPool recycles the scratch configs resolveOptions applies
+// options to. An option is an opaque func(*runConfig), so the config
+// it is handed escapes to the heap; recycling it keeps resolving an
+// option list — which the job service does on every admission, cache
+// hits included — free of allocations.
+var configPool = sync.Pool{New: func() any { return new(runConfig) }}
+
+// resolveOptions applies opts, in order, to the default configuration.
+func resolveOptions(opts []RunOption) runConfig {
+	p := configPool.Get().(*runConfig)
+	*p = defaultRunConfig()
+	for _, opt := range opts {
+		opt(p)
+	}
+	cfg := *p
+	*p = runConfig{} // drop the context and device before pooling
+	configPool.Put(p)
+	return cfg
 }
 
 // RunOption configures one job's execution; pass options to NewJob or
@@ -115,9 +136,10 @@ func WithSeed(s int64) RunOption {
 }
 
 // WithWorkers sets the goroutine pool width for backends that can run
-// shots concurrently (Trajectory). Values below 1 select 1. Counts are
-// bit-for-bit independent of the worker count: each trajectory owns a
-// seed-derived stream keyed by its shot index.
+// shots concurrently (Trajectory). Values below 1 select 1, which is
+// also the default. Counts are bit-for-bit independent of the worker
+// count: each trajectory owns a seed-derived stream keyed by its shot
+// index.
 func WithWorkers(n int) RunOption {
 	return func(c *runConfig) { c.workers = n }
 }
@@ -152,11 +174,7 @@ func WithContext(ctx context.Context) RunOption {
 // their own cancellation context use it to derive that context from
 // the caller's instead of silently overriding it.
 func ContextOf(opts ...RunOption) context.Context {
-	cfg := defaultRunConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg.ctx
+	return resolveOptions(opts).ctx
 }
 
 // ShotsOf resolves the shot count an option list selects (zero when no
@@ -165,9 +183,5 @@ func ContextOf(opts ...RunOption) context.Context {
 // simulation work a queue holds, since trajectory cost scales with
 // shots while exact backends run one pass regardless.
 func ShotsOf(opts ...RunOption) int {
-	cfg := defaultRunConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg.shots
+	return resolveOptions(opts).shots
 }

@@ -54,10 +54,11 @@ func Fingerprint(c *circuit.Circuit) uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, d := range c.Dims() {
-		writeU64(uint64(d))
+	for w := 0; w < c.NumWires(); w++ {
+		writeU64(uint64(c.Dim(w)))
 	}
-	for _, op := range c.Ops() {
+	for i := 0; i < c.Len(); i++ {
+		op := c.Op(i)
 		h.Write([]byte(op.Gate.Name))
 		for _, t := range op.Targets {
 			writeU64(uint64(t))

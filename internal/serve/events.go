@@ -54,7 +54,7 @@ func (j *job) publishLocked(ev Event) {
 	j.events = append(j.events, ev)
 	for _, ch := range j.subs {
 		select {
-		case ch <- ev:
+		case ch <- j.deliverableLocked(ev):
 		default:
 		}
 		if ev.terminal() {
@@ -68,13 +68,21 @@ func (j *job) publishLocked(ev Event) {
 
 // terminalEventLocked builds the settlement event for the job's
 // current (terminal) state; the caller holds j.mu and has already
-// assigned the terminal state, result, and error.
+// assigned the terminal state, result, and error. The recorded event
+// carries no result view: deliverableLocked attaches one for each
+// subscriber, so a job nobody streams never builds one.
 func (j *job) terminalEventLocked() Event {
 	ev := Event{State: j.state.String(), Cached: j.cached}
 	if j.err != nil {
 		ev.Error = j.err.Error()
 	}
-	if j.state == Done {
+	return ev
+}
+
+// deliverableLocked returns a recorded event as subscribers see it: a
+// Done event carries the job's result view. The caller holds j.mu.
+func (j *job) deliverableLocked(ev Event) Event {
+	if ev.State == Done.String() {
 		res := NewResultView(j.res)
 		ev.Result = &res
 	}
@@ -97,7 +105,7 @@ func (s *Service) Subscribe(id JobID) (<-chan Event, func(), error) {
 	defer j.mu.Unlock()
 	ch := make(chan Event, len(j.events)+8)
 	for _, ev := range j.events {
-		ch <- ev
+		ch <- j.deliverableLocked(ev)
 	}
 	if len(j.events) > 0 && j.events[len(j.events)-1].terminal() {
 		close(ch)

@@ -133,11 +133,13 @@ func (s *Service) journalSettle(id JobID, state JobState) {
 	if !ok {
 		return
 	}
-	s.journalLag.Add(-1)
 	data, err := json.Marshal(jobSettleRecord{ID: string(id), State: state.String()})
 	if err == nil {
 		_ = jl.Append(recJobSettle, data)
 	}
+	// Until its settle record is appended, a crash would replay the
+	// job, so it counts as lag until then.
+	s.journalLag.Add(-1)
 	if jl.Stats().TailRecords >= s.cfg.JournalCompactEvery {
 		_ = s.compactJournal()
 	}
@@ -277,16 +279,9 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 		}
 		pending = append(pending, replayJob{id: JobID(ar.ID), tenant: ar.Tenant, payload: ar.Payload})
 		rj := &pending[len(pending)-1]
-		key := cacheKey{fingerprint: core.Fingerprint(circ), options: core.OptionsDigest(opts...)}
-		ctx, cancel := context.WithCancel(context.Background())
-		rj.j = &job{
-			id: rj.id, circ: circ, opts: opts, key: key,
-			shots: core.ShotsOf(opts...),
-			ctx:   ctx, cancel: cancel,
-			acct: acct, reserved: true,
-			state: Queued, done: make(chan struct{}),
-			events: []Event{{Seq: 0, State: Queued.String()}},
-		}
+		rj.j = newJob(circ, opts, acct)
+		rj.j.id, rj.j.reserved = rj.id, true
+		rj.j.ctx, rj.j.cancel = context.WithCancel(context.Background())
 	}
 
 	s.mu.Lock()

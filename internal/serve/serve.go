@@ -38,6 +38,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -258,10 +260,29 @@ type job struct {
 	err    error
 	cached bool
 	done   chan struct{}
-	// events records every state transition for replay; subs are the
-	// live subscriber channels (see Subscribe in events.go).
-	events []Event
-	subs   []chan Event
+	// events records every state transition for replay, in eventBuf:
+	// queued, running and terminal are the most a job records, so
+	// publishing never reallocates. subs are the live subscriber
+	// channels (see Subscribe in events.go).
+	events   []Event
+	eventBuf [3]Event
+	subs     []chan Event
+}
+
+// newJob returns the record of a job about to be admitted: state
+// Queued, with its queued event already recorded — no subscriber can
+// exist before the ID is issued, so no fan-out is needed. Callers set
+// its context, and its ID when they publish it.
+func newJob(c *circuit.Circuit, opts []core.RunOption, acct *tenant.Account) *job {
+	j := &job{
+		circ: c, opts: opts,
+		key:   cacheKey{fingerprint: core.Fingerprint(c), options: core.OptionsDigest(opts...)},
+		shots: core.ShotsOf(opts...),
+		acct:  acct,
+		state: Queued, done: make(chan struct{}),
+	}
+	j.events = append(j.eventBuf[:0], Event{Seq: 0, State: Queued.String()})
+	return j
 }
 
 // begin transitions a job Queued → Running, updating the population
@@ -410,31 +431,23 @@ func (s *Service) enqueue(acct *tenant.Account, payload []byte, c *circuit.Circu
 	if acct == nil {
 		acct = s.anon
 	}
-	key := cacheKey{fingerprint: core.Fingerprint(c), options: core.OptionsDigest(opts...)}
+	j := newJob(c, opts, acct)
 	base := context.Background()
 	if userCtx := core.ContextOf(opts...); userCtx != nil {
 		base = userCtx
 	}
-	ctx, cancel := context.WithCancel(base)
-	j := &job{
-		circ: c, opts: opts, key: key,
-		shots: core.ShotsOf(opts...),
-		ctx:   ctx, cancel: cancel,
-		acct:  acct,
-		state: Queued, done: make(chan struct{}),
-		// The queued event is recorded at creation — no subscriber can
-		// exist before the ID is issued, so no fan-out is needed.
-		events: []Event{{Seq: 0, State: Queued.String()}},
-	}
+	// The fast paths below settle the job before its ID is returned,
+	// so nothing runs under its context: it keeps the caller's, with
+	// nothing to cancel. Only a queued job gets a cancellable one.
+	j.ctx, j.cancel = base, func() {}
 
 	// A caller context that is already cancelled settles Cancelled even
 	// on the cache fast path, so the outcome of a cancelled submission
 	// never depends on cache state.
-	if err := ctx.Err(); err != nil {
+	if err := base.Err(); err != nil {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			cancel()
 			return "", ErrClosed
 		}
 		id := s.issueIDLocked(j)
@@ -446,11 +459,10 @@ func (s *Service) enqueue(acct *tenant.Account, payload []byte, c *circuit.Circu
 		return id, nil
 	}
 
-	if res, ok := s.cache.get(key); ok {
+	if res, ok := s.cache.get(j.key); ok {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			cancel()
 			return "", ErrClosed
 		}
 		id := s.issueIDLocked(j)
@@ -467,13 +479,15 @@ func (s *Service) enqueue(acct *tenant.Account, payload []byte, c *circuit.Circu
 	// the gauges move exactly once per accepted job. All pushes happen
 	// under s.mu (workers only pop), so the capacity check here makes
 	// the later forcePush safe: depth can only shrink in between.
+	ctx, cancel := context.WithCancel(base)
+	j.ctx, j.cancel = ctx, cancel
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		cancel()
 		return "", ErrClosed
 	}
-	sh := s.shards[key.fingerprint%uint64(len(s.shards))]
+	sh := s.shards[j.key.fingerprint%uint64(len(s.shards))]
 	if sh.full() {
 		s.mu.Unlock()
 		cancel()
@@ -508,10 +522,23 @@ func queueFullError(sh *shardQueue) error {
 // callers hold s.mu.
 func (s *Service) issueIDLocked(j *job) JobID {
 	s.nextID++
-	id := JobID(fmt.Sprintf("j-%06d", s.nextID))
+	id := formatJobID(s.nextID)
 	j.id = id
 	s.jobs[id] = j
 	return id
+}
+
+// formatJobID renders n as "j-" and at least six digits, the
+// fmt.Sprintf("j-%06d") form, with the string as its one allocation.
+func formatJobID(n uint64) JobID {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	var buf [len("j-") + 20]byte
+	b := append(buf[:0], "j-"...)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return JobID(append(b, d...))
 }
 
 // Await blocks until the job settles or ctx expires, returning the
@@ -787,7 +814,11 @@ func (s *Service) runBatch(batch []*job) {
 	}
 
 	withCtx := func(it runItem) core.Job {
-		opts := make([]core.RunOption, 0, len(it.opts)+1)
+		// A trajectory pool as wide as the node (core's own default is
+		// one worker) comes first, so an explicit workers in the job's
+		// options still wins; the width changes no result byte.
+		opts := make([]core.RunOption, 0, len(it.opts)+2)
+		opts = append(opts, core.WithWorkers(runtime.GOMAXPROCS(0)))
 		opts = append(opts, it.opts...)
 		opts = append(opts, core.WithContext(it.j.ctx))
 		return core.NewJob(it.circ, opts...)

@@ -369,7 +369,8 @@ type JobRequest struct {
 	// Seed, when present, pins the job seed (core.WithSeed).
 	Seed *int64 `json:"seed,omitempty"`
 	// Workers widens the trajectory pool (core.WithWorkers); never
-	// affects results or the cache key.
+	// affects results or the cache key. Omitted, the service picks:
+	// every core for a job alone on the node, else one worker.
 	Workers int `json:"workers,omitempty"`
 	// ShotBatch streams up to this many trajectory shots through the
 	// plan together per worker (core.WithShotBatch); like Workers it
