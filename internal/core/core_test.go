@@ -3,11 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"quditkit/internal/circuit"
 	"quditkit/internal/gates"
+	"quditkit/internal/golden"
 	"quditkit/internal/hilbert"
 )
 
@@ -160,7 +162,9 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 // TestAllExperimentsQuick executes every experiment in quick mode — the
-// end-to-end smoke test of the full reproduction pipeline.
+// end-to-end smoke test of the full reproduction pipeline — and pins
+// each rendered table to testdata/experiments/<ID>.golden, so a result
+// that moves between builds fails here (see internal/golden).
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiments still take seconds")
@@ -176,9 +180,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
 			}
-			if tab.String() == "" {
-				t.Fatalf("%s renders empty", e.ID)
-			}
+			golden.Check(t, filepath.Join("testdata", "experiments", e.ID+".golden"), []byte(tab.String()))
 		})
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"quditkit/internal/cluster"
 	"quditkit/internal/core"
 	"quditkit/internal/experiment"
+	"quditkit/internal/golden"
 	"quditkit/internal/serve"
 )
 
@@ -69,6 +71,17 @@ func runSweep(t *testing.T, m *experiment.Manager, req experiment.SweepRequest) 
 	return view
 }
 
+// checkAggregateGolden pins one sweep kind's aggregate, as indented
+// JSON, to testdata/sweeps/<kind>.json (see internal/golden).
+func checkAggregateGolden(t *testing.T, kind string, agg *experiment.Aggregate) {
+	t.Helper()
+	b, err := json.MarshalIndent(agg, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, filepath.Join("testdata", "sweeps", kind+".json"), append(b, '\n'))
+}
+
 func noisyRB() experiment.SweepRequest {
 	return experiment.SweepRequest{
 		Kind:  experiment.KindRB,
@@ -121,6 +134,7 @@ func TestStandaloneRBSweep(t *testing.T) {
 	if rb.Points[len(rb.Points)-1].Survival >= rb.Points[0].Survival {
 		t.Fatalf("survival curve not decaying: %+v", rb.Points)
 	}
+	checkAggregateGolden(t, experiment.KindRB, view.Aggregate)
 
 	// Resubmission dedupes through the content-addressed cache.
 	statsBefore := svc.Stats()
@@ -197,6 +211,9 @@ func TestFleetMatchesStandaloneAggregates(t *testing.T) {
 			t.Fatalf("%s aggregates diverge across topologies:\nstandalone: %s\nfleet:      %s",
 				req.Kind, sagg, fagg)
 		}
+		if req.Kind == experiment.KindQAOA {
+			checkAggregateGolden(t, req.Kind, sview.Aggregate) // rb is pinned by TestStandaloneRBSweep
+		}
 		// Cell metrics match one-to-one as well, not just the fold.
 		for i := range sview.Cells {
 			sm, fm := sview.Cells[i].Metric, fview.Cells[i].Metric
@@ -238,6 +255,7 @@ func TestSQEDAndQRCSweeps(t *testing.T) {
 	if agg.FitError == "" && agg.Omega <= 0 {
 		t.Fatalf("sqed fit returned omega %v", agg.Omega)
 	}
+	checkAggregateGolden(t, experiment.KindSQED, view.Aggregate)
 
 	qrc := experiment.SweepRequest{
 		Kind:  experiment.KindQRC,
@@ -260,4 +278,5 @@ func TestSQEDAndQRCSweeps(t *testing.T) {
 	if qagg.TrainNMSE <= 0 || qagg.TrainNMSE >= 1 {
 		t.Fatalf("qrc train NMSE %v", qagg.TrainNMSE)
 	}
+	checkAggregateGolden(t, experiment.KindQRC, qview.Aggregate)
 }
