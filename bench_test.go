@@ -200,18 +200,13 @@ func BenchmarkSubmitTrajectories(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := ghzCircuit(b, 4)
-	submit := func(workers, batch int) (core.Result, error) {
-		opts := []core.RunOption{
+	submit := func(workers int) (core.Result, error) {
+		return proc.SubmitOne(c,
 			core.WithBackend(core.Trajectory),
 			core.WithNoise(model),
 			core.WithShots(512),
 			core.WithSeed(7),
-			core.WithWorkers(workers),
-		}
-		if batch > 1 {
-			opts = append(opts, core.WithShotBatch(batch))
-		}
-		return proc.SubmitOne(c, opts...)
+			core.WithWorkers(workers))
 	}
 	workerSet := []int{1, 4, runtime.NumCPU()}
 	for _, workers := range workerSet {
@@ -219,11 +214,11 @@ func BenchmarkSubmitTrajectories(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			warmPlanCache(b, func() error {
-				_, err := submit(workers, 1)
+				_, err := submit(workers)
 				return err
 			})
 			for i := 0; i < b.N; i++ {
-				res, err := submit(workers, 1)
+				res, err := submit(workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -232,64 +227,6 @@ func BenchmarkSubmitTrajectories(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSubmitTrajectoriesBatched is the same tracked job with shot
-// batching enabled: identical logical work and — by the byte-identity
-// contract — identical counts, so the series isolates what batching
-// buys at each pool width. Batch sizes match the differential grid.
-func BenchmarkSubmitTrajectoriesBatched(b *testing.B) {
-	proc, err := core.NewCompactProcessor(2, 2, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := proc.NoiseModelForDim(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := ghzCircuit(b, 4)
-	want, err := proc.SubmitOne(c,
-		core.WithBackend(core.Trajectory),
-		core.WithNoise(model),
-		core.WithShots(512),
-		core.WithSeed(7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		for _, batch := range []int{8, 32} {
-			workers, batch := workers, batch
-			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				submit := func() (core.Result, error) {
-					return proc.SubmitOne(c,
-						core.WithBackend(core.Trajectory),
-						core.WithNoise(model),
-						core.WithShots(512),
-						core.WithSeed(7),
-						core.WithWorkers(workers),
-						core.WithShotBatch(batch))
-				}
-				warmPlanCache(b, func() error {
-					res, err := submit()
-					if err != nil {
-						return err
-					}
-					for k, v := range want.Counts {
-						if res.Counts[k] != v {
-							b.Fatalf("batch=%d counts[%s] = %d, want %d", batch, k, res.Counts[k], v)
-						}
-					}
-					return nil
-				})
-				for i := 0; i < b.N; i++ {
-					if _, err := submit(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -1,19 +1,27 @@
 // Package difftest is the differential proof layer for the trajectory
-// execution engine: it drives one (circuit, noise model, seed, shots)
-// case through every execution path — the interpreted per-op engine,
-// the compiled plan without fusion, the fused plan, and the fused plan
-// with batched shots — across worker-count and batch-size grids, and
-// asserts the results are byte-identical: same Counts, same MeanProbs
-// bits, same per-wire marginal bits, same final-state amplitude bits
-// when a state is exposed.
+// engine. Run drives one (circuit, noise model, seed, shots) case
+// through every path and demands byte-identical results:
+//
+//   - Every trajectory shot runs three ways — the per-op interpreter
+//     (Circuit.RunTrajectory), the compiled plan without fusion, and the
+//     fused plan — on identically seeded qmath.ShotSource streams. Each
+//     shot must leave bit-equal amplitudes and the same next draw, so all
+//     three consumed the same number of draws.
+//   - core.TrajectoryBackend runs the case at every worker count of the
+//     grid, and each Execution must equal the one at width 1: same
+//     Counts, same MeanProbs bits, same per-wire marginal bits, same
+//     final-state amplitude bits when a state is exposed. The backend
+//     runs the fused plan one shot at a time in one shot loop, so
+//     per-shot identity plus identity across widths proves its Execution
+//     is the one the interpreter would give.
 //
 // Byte-identity (not approximate closeness) is the repo's contract:
 // every fast path must perform the same floating-point operations in
 // the same order as the reference, so any divergence — a reordered
-// accumulation, a fused kernel that rounds differently, a batch loop
-// that interleaves per-shot sums — is a hard failure, not tolerance
-// noise. The package is a library so the CI race job, the fuzz
-// targets, and ad-hoc debugging can all reuse the same comparator.
+// accumulation, a fused kernel that rounds differently, an extra rng
+// draw — is a hard failure, not tolerance noise. The package is a
+// library so the CI race job, the fuzz targets, and ad-hoc debugging
+// can all reuse the same comparator.
 package difftest
 
 import (
@@ -27,6 +35,7 @@ import (
 	"quditkit/internal/gates"
 	"quditkit/internal/hilbert"
 	"quditkit/internal/noise"
+	"quditkit/internal/qmath"
 )
 
 // Case is one differential tuple: a circuit, the noise model to
@@ -39,69 +48,136 @@ type Case struct {
 	Shots   int
 }
 
-// Config spans the execution grid. Every fused run is exercised at
-// each worker count; batched runs additionally at each batch size > 1.
+// Config spans the execution grid: the worker counts the trajectory
+// backend runs at. Width 1 is always the reference.
 type Config struct {
 	Workers []int
-	Batches []int
 }
 
-// DefaultConfig is the acceptance grid: worker counts {1,4,8} × batch
-// sizes {1,8,32}.
+// DefaultConfig is the acceptance grid: worker counts {1,4,8}.
 func DefaultConfig() Config {
-	return Config{Workers: []int{1, 4, 8}, Batches: []int{1, 8, 32}}
+	return Config{Workers: []int{1, 4, 8}}
 }
 
-// Run executes the case through every path of the grid and returns an
-// error naming the first path that diverges from the interpreted
-// reference. Paths compared, all through core.TrajectoryBackend:
-//
-//	interpreted              workers=1 (the reference)
-//	compiled, fusion off     workers=1
-//	compiled, fused          every worker count, batch=1
-//	compiled, fused+batched  every worker count × every batch size > 1
+// Run executes the case through every trajectory path and returns an
+// error naming the first one that diverges: the per-shot oracle
+// (Shots), then the backend at every worker count of cfg against
+// width 1.
 func Run(cs Case, cfg Config) error {
-	ref, err := exec(cs, core.TrajectoryBackend{Interpreted: true}, core.ExecSpec{Workers: 1})
-	if err != nil {
-		return fmt.Errorf("%s: interpreted reference: %w", cs.Name, err)
-	}
-	unfused, err := exec(cs, core.TrajectoryBackend{}, core.ExecSpec{Workers: 1, DisableFusion: true})
-	if err != nil {
-		return fmt.Errorf("%s: compiled(nofuse): %w", cs.Name, err)
-	}
-	if err := Compare(cs, ref, unfused, "interpreted", "compiled(nofuse)"); err != nil {
+	if err := Shots(cs); err != nil {
 		return err
 	}
+	ref, err := exec(cs, 1)
+	if err != nil {
+		return fmt.Errorf("%s: workers=1: %w", cs.Name, err)
+	}
 	for _, w := range cfg.Workers {
-		fused, err := exec(cs, core.TrajectoryBackend{}, core.ExecSpec{Workers: w})
-		if err != nil {
-			return fmt.Errorf("%s: fused workers=%d: %w", cs.Name, w, err)
+		if w == 1 {
+			continue
 		}
-		if err := Compare(cs, ref, fused, "interpreted", fmt.Sprintf("fused workers=%d", w)); err != nil {
+		got, err := exec(cs, w)
+		if err != nil {
+			return fmt.Errorf("%s: workers=%d: %w", cs.Name, w, err)
+		}
+		if err := Compare(cs, ref, got, "workers=1", fmt.Sprintf("workers=%d", w)); err != nil {
 			return err
 		}
-		for _, b := range cfg.Batches {
-			if b <= 1 {
-				continue // batch=1 is the fused path just compared
+	}
+	return nil
+}
+
+func exec(cs Case, workers int) (core.Execution, error) {
+	return core.TrajectoryBackend{}.Execute(cs.Circuit, core.ExecSpec{
+		Noise: cs.Noise, Shots: cs.Shots, Seed: cs.Seed, Workers: workers,
+	})
+}
+
+// plans compiles the case's circuit against its noise model without and
+// with fusion.
+func plans(cs Case) (unfused, fused *circuit.Plan, err error) {
+	unfused, err = cs.Circuit.CompileWith(cs.Noise, circuit.CompileOptions{DisableFusion: true})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: compile without fusion: %w", cs.Name, err)
+	}
+	fused, err = cs.Circuit.Compile(cs.Noise)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: compile: %w", cs.Name, err)
+	}
+	return unfused, fused, nil
+}
+
+// Shots runs every trajectory shot of the case through the interpreter,
+// the unfused plan and the fused plan. Shot t of all three paths draws
+// from a qmath.ShotSource seeded alike (from cs.Seed, not the backend's
+// per-shot seeds); each shot must leave bit-equal amplitudes on all
+// three, and the next draw of all three streams must agree.
+func Shots(cs Case) error {
+	unfused, fused, err := plans(cs)
+	if err != nil {
+		return err
+	}
+	uws, err := unfused.NewWorkspace()
+	if err != nil {
+		return err
+	}
+	fws, err := fused.NewWorkspace()
+	if err != nil {
+		return err
+	}
+	seeds := rand.New(rand.NewSource(cs.Seed))
+	var src [3]qmath.ShotSource
+	rngs := [3]*rand.Rand{rand.New(&src[0]), rand.New(&src[1]), rand.New(&src[2])}
+	names := [3]string{"interpreted", "plan(nofuse)", "plan(fused)"}
+	for t := 0; t < cs.Shots; t++ {
+		seed := seeds.Int63()
+		for i := range src {
+			src[i].Seed(seed)
+		}
+		ref, err := cs.Circuit.RunTrajectory(rngs[0], cs.Noise)
+		if err != nil {
+			return fmt.Errorf("%s: shot %d: interpreted: %w", cs.Name, t, err)
+		}
+		u, err := unfused.RunShot(uws, rngs[1])
+		if err != nil {
+			return fmt.Errorf("%s: shot %d: %s: %w", cs.Name, t, names[1], err)
+		}
+		f, err := fused.RunShot(fws, rngs[2])
+		if err != nil {
+			return fmt.Errorf("%s: shot %d: %s: %w", cs.Name, t, names[2], err)
+		}
+		for i, got := range [][]complex128{u.RawAmplitudes(), f.RawAmplitudes()} {
+			if k := firstDiff(ref.RawAmplitudes(), got); k >= 0 {
+				return fmt.Errorf("%s: shot %d: amplitude %d diverges between interpreted and %s: %v vs %v",
+					cs.Name, t, k, names[i+1], ref.RawAmplitudes()[k], got[k])
 			}
-			batched, err := exec(cs, core.TrajectoryBackend{}, core.ExecSpec{Workers: w, ShotBatch: b})
-			if err != nil {
-				return fmt.Errorf("%s: fused+batched workers=%d batch=%d: %w", cs.Name, w, b, err)
-			}
-			name := fmt.Sprintf("fused+batched workers=%d batch=%d", w, b)
-			if err := Compare(cs, ref, batched, "interpreted", name); err != nil {
-				return err
+		}
+		next := rngs[0].Uint64()
+		for i := 1; i < len(rngs); i++ {
+			if d := rngs[i].Uint64(); d != next {
+				return fmt.Errorf("%s: shot %d: %s consumed a different number of draws than interpreted (next draw %#x vs %#x)",
+					cs.Name, t, names[i], d, next)
 			}
 		}
 	}
 	return nil
 }
 
-func exec(cs Case, b core.TrajectoryBackend, spec core.ExecSpec) (core.Execution, error) {
-	spec.Noise = cs.Noise
-	spec.Shots = cs.Shots
-	spec.Seed = cs.Seed
-	return b.Execute(cs.Circuit, spec)
+// firstDiff returns the first index where a and b differ, or -1 when
+// they are equal (a length mismatch differs at the shorter length).
+// Entries compare with ==, which is bit equality except that +0 and -0
+// are equal: the interpreter and the plan kernels may round an exact
+// cancellation to zeros of different sign, and both square to the same
+// probability.
+func firstDiff(a, b []complex128) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 // Compare asserts two executions of the same case are byte-identical:
@@ -141,15 +217,9 @@ func Compare(cs Case, ref, got core.Execution, refName, gotName string) error {
 	}
 	if ref.State != nil && got.State != nil {
 		ra, ga := ref.State.RawAmplitudes(), got.State.RawAmplitudes()
-		if len(ra) != len(ga) {
-			return fmt.Errorf("%s: state length %d (%s) vs %d (%s)",
-				cs.Name, len(ra), refName, len(ga), gotName)
-		}
-		for i := range ra {
-			if ra[i] != ga[i] {
-				return fmt.Errorf("%s: state amplitude %d diverges between %s and %s: %v vs %v",
-					cs.Name, i, refName, gotName, ra[i], ga[i])
-			}
+		if i := firstDiff(ra, ga); i >= 0 {
+			return fmt.Errorf("%s: state diverges at amplitude %d between %s (%d amplitudes) and %s (%d)",
+				cs.Name, i, refName, len(ra), gotName, len(ga))
 		}
 	}
 	return nil

@@ -12,21 +12,15 @@ import (
 	"quditkit/internal/noise"
 )
 
-// gateNoise is the noisy half of the grid: depolarizing, damping, and
+// gateNoise is the noisy model of the grid: depolarizing, damping, and
 // dephasing after every gate, so every compiled op carries channels and
-// the stochastic batch path is exercised on each one. Idle noise is
-// deliberately absent — idle channels are a density-evolution feature
-// the trajectory paths reject, and a model carrying them would also
-// suppress fusion (every moment becomes a barrier) without testing
-// anything the gate channels don't.
+// every shot samples each of them.
 var gateNoise = noise.Model{Depol1: 0.05, Depol2: 0.10, Damping: 0.02, Dephasing: 0.03}
 
-// TestDifferentialGrid is the acceptance grid from the issue: every
-// (circuit, noise model, seed) case runs through interpreted,
-// compiled-without-fusion, fused, and fused+batched execution at
-// worker counts {1,4,8} and batch sizes {1,8,32}, and every path must
-// be byte-identical to the interpreted reference — Counts, MeanProbs
-// bits, marginal bits, and (noiseless) state amplitude bits.
+// TestDifferentialGrid is the acceptance grid: every (circuit, noise
+// model, seed) case runs each shot through the interpreter, the unfused
+// plan and the fused plan, and runs the trajectory backend at worker
+// counts {1,4,8}. Every comparison must be bit-exact.
 func TestDifferentialGrid(t *testing.T) {
 	t.Parallel()
 	registers := []hilbert.Dims{
@@ -89,11 +83,12 @@ func TestDifferentialGHZ(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	model := noise.Model{Depol1: 0.02}
 	for seed := int64(1); seed <= 3; seed++ {
 		cs := Case{
 			Name:    fmt.Sprintf("ghz/seed=%d", seed),
 			Circuit: c,
-			Noise:   noise.Model{Depol1: 0.02},
+			Noise:   model,
 			Seed:    seed,
 			Shots:   256,
 		}

@@ -33,18 +33,6 @@ type ExecSpec struct {
 	// of the compiled-plan cache key, so plans lowered against different
 	// devices or transpile levels never alias.
 	TranspileFP uint64
-	// ShotBatch streams up to this many trajectory state vectors through
-	// the plan together per worker (Trajectory backend only), capped at
-	// the shots one stripe holds and at the worker's share of the job's
-	// circuit.MaxBatchAmps arena budget. Values below 2 select the
-	// single-shot path. Results are bit-for-bit identical for every
-	// batch size — the differential suite enforces it — so the knob
-	// trades memory for throughput, never accuracy.
-	ShotBatch int
-	// DisableFusion compiles the plan without gate fusion. It exists for
-	// the differential and benchmark ablation paths; production requests
-	// never set it.
-	DisableFusion bool
 }
 
 // context returns the spec's context, defaulting to Background.
@@ -112,7 +100,7 @@ func (StatevectorBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution,
 		return Execution{}, fmt.Errorf("core: %s backend cannot apply noise; use %s or %s",
 			Statevector, DensityMatrix, Trajectory)
 	}
-	plan, err := planFor(c, noise.Model{}, spec.TranspileFP, spec.DisableFusion)
+	plan, err := planFor(c, noise.Model{}, spec.TranspileFP)
 	if err != nil {
 		return Execution{}, fmt.Errorf("%w: %v", ErrNotSimulable, err)
 	}
@@ -151,7 +139,7 @@ func (DensityMatrixBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Executio
 	if err := spec.context().Err(); err != nil {
 		return Execution{}, err
 	}
-	plan, err := planFor(c, spec.Noise, spec.TranspileFP, spec.DisableFusion)
+	plan, err := planFor(c, spec.Noise, spec.TranspileFP)
 	if err != nil {
 		return Execution{}, fmt.Errorf("%w: %v", ErrNotSimulable, err)
 	}
@@ -175,23 +163,19 @@ func (DensityMatrixBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Executio
 // trajectory-averaged basis probabilities; State is additionally set at
 // zero noise, where every trajectory is the same deterministic pure run.
 //
-// Shots execute through a cached compiled circuit.Plan with one reused
-// workspace per worker: the state vector is reset, not reallocated, per
-// shot, probabilities accumulate into worker-local buffers, and outcome
-// sampling reuses one binary-search CDF — O(1) amortized allocations
-// per shot. Probabilities accumulate into fixed stripes (shot index mod
-// stripe count, merged in stripe order), so MeanProbs is byte-identical
-// at any worker count, not just statistically equivalent. Workers claim
-// stripes from a shared counter until none is left, so a worker on a
-// slowed core simply claims fewer of them.
-type TrajectoryBackend struct {
-	// Interpreted forces the legacy per-op interpreter
-	// (Circuit.RunTrajectory) instead of the compiled Plan engine. Both
-	// produce byte-identical Counts and MeanProbs for a fixed seed —
-	// the differential tests rely on exactly that — so the flag exists
-	// for verification and debugging, never for performance.
-	Interpreted bool
-}
+// Shots execute one at a time through a cached, fused compiled
+// circuit.Plan with one reused workspace per worker: the state vector
+// is reset, not reallocated, per shot, probabilities accumulate into
+// worker-local buffers, and outcome sampling reuses one binary-search
+// CDF — O(1) amortized allocations per shot. Probabilities accumulate
+// into fixed stripes (shot index mod stripe count, merged in stripe
+// order), so MeanProbs is byte-identical at any worker count, not just
+// statistically equivalent. Workers claim stripes from a shared counter
+// until none is left, so a worker on a slowed core simply claims fewer
+// of them. The per-op interpreter (Circuit.RunTrajectory) and the
+// unfused plan stay test oracles: internal/circuit/difftest proves
+// every shot of this engine bit-equal to both.
+type TrajectoryBackend struct{}
 
 // Kind implements Backend.
 func (TrajectoryBackend) Kind() BackendKind { return Trajectory }
@@ -227,42 +211,18 @@ func trajectoryStripes(shots, dim int) int {
 	return s
 }
 
-// trajectoryBatch is the batch width each of a job's workers streams:
-// the requested width, capped at the shots one stripe holds (a batch
-// never spans stripes) and at an equal share of the job's
-// circuit.MaxBatchAmps arena budget, so a job's batch memory does not
-// grow with its pool width. Below 2 the workers take the single-shot
-// path.
-func trajectoryBatch(requested, shots, stripes, workers, dim int) int {
-	return min(requested, (shots+stripes-1)/stripes, circuit.MaxBatchAmps/(workers*dim))
-}
-
 // Execute implements Backend.
-func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution, error) {
+func (TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution, error) {
 	ctx := spec.context()
 	shots := spec.Shots
 	if shots <= 0 {
 		shots = 1
 	}
-	// The interpreter needs no plan (and must not occupy a plan-cache
-	// slot or allocate unused workspaces); it only needs the index space.
-	var plan *circuit.Plan
-	var sp *hilbert.Space
-	if b.Interpreted {
-		var err error
-		sp, err = hilbert.NewSpace(c.Dims())
-		if err != nil {
-			return Execution{}, err
-		}
-	} else {
-		var err error
-		plan, err = planFor(c, spec.Noise, spec.TranspileFP, spec.DisableFusion)
-		if err != nil {
-			return Execution{}, fmt.Errorf("%w: %v", ErrNotSimulable, err)
-		}
-		sp = plan.Space()
+	plan, err := planFor(c, spec.Noise, spec.TranspileFP)
+	if err != nil {
+		return Execution{}, fmt.Errorf("%w: %v", ErrNotSimulable, err)
 	}
-	dim := sp.Total()
+	dim := plan.Space().Total()
 	stripes := trajectoryStripes(shots, dim)
 	workers := spec.Workers
 	if workers < 1 {
@@ -271,7 +231,6 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 	if workers > stripes {
 		workers = stripes
 	}
-	batch := trajectoryBatch(spec.ShotBatch, shots, stripes, workers, dim)
 
 	outcomes := make([]int, shots)
 	noiseless := spec.Noise.IsZero()
@@ -294,29 +253,10 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var ws *circuit.Workspace
-			var bw *circuit.BatchWorkspace
-			var rngs []*rand.Rand
-			if !b.Interpreted {
-				if batch > 1 {
-					var err error
-					bw, err = plan.NewBatchWorkspace(batch)
-					if err != nil {
-						errs[w] = fmt.Errorf("%w: %v", ErrNotSimulable, err)
-						return
-					}
-					rngs = make([]*rand.Rand, bw.Width())
-					for i := range rngs {
-						rngs[i] = rand.New(new(qmath.ShotSource))
-					}
-				} else {
-					var err error
-					ws, err = plan.NewWorkspace()
-					if err != nil {
-						errs[w] = fmt.Errorf("%w: %v", ErrNotSimulable, err)
-						return
-					}
-				}
+			ws, err := plan.NewWorkspace()
+			if err != nil {
+				errs[w] = fmt.Errorf("%w: %v", ErrNotSimulable, err)
+				return
 			}
 			var sampler qmath.CDFSampler
 			// One reseeded rng per worker replaces one allocation per
@@ -326,79 +266,25 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 			// by its index, so which worker claims it changes no byte.
 			for s := int(nextStripe.Add(1) - 1); s < stripes; s = int(nextStripe.Add(1) - 1) {
 				local := partials[s]
-				if bw != nil {
-					// Batched: group the stripe's shots bw.Width() at a
-					// time. Vector v carries trajectory t0+v*stripes on its
-					// own (seed, t)-derived stream, and probabilities
-					// accumulate in ascending-t order after the batch, so
-					// results match the single-shot loop bit-for-bit.
-					// Cancellation latency grows to one batch.
-					kb := bw.Width()
-					for t0 := s; t0 < shots; t0 += stripes * kb {
-						if err := ctx.Err(); err != nil {
-							errs[w] = err
-							return
-						}
-						nb := 0
-						for t := t0; t < shots && nb < kb; t += stripes {
-							rngs[nb].Seed(mixSeed(spec.Seed, uint64(t)))
-							nb++
-						}
-						if err := plan.RunShotBatch(bw, rngs[:nb]); err != nil {
-							errs[w] = fmt.Errorf("trajectory batch at %d (stride %d): %w: %v", t0, stripes, ErrNotSimulable, err)
-							return
-						}
-						for v, t := 0, t0; v < nb; v, t = v+1, t+stripes {
-							probs := bw.BornProbabilities(v)
-							if t == 0 && noiseless {
-								sv, err := bw.CloneState(v)
-								if err != nil {
-									errs[w] = fmt.Errorf("%w: %v", ErrNotSimulable, err)
-									return
-								}
-								first = sv
-							}
-							for i, p := range probs {
-								local[i] += p
-							}
-							sampler.Load(probs)
-							outcomes[t] = sampler.Draw(rngs[v])
-						}
-					}
-					continue
-				}
 				for t := s; t < shots; t += stripes {
 					// Polling between trajectories bounds the cancellation
-					// latency to one shot rather than the whole batch.
+					// latency to one shot rather than the whole job.
 					if err := ctx.Err(); err != nil {
 						errs[w] = err
 						return
 					}
 					rng.Seed(mixSeed(spec.Seed, uint64(t)))
-					var probs []float64
-					if b.Interpreted {
-						v, err := c.RunTrajectory(rng, spec.Noise)
-						if err != nil {
-							errs[w] = fmt.Errorf("trajectory %d: %w: %v", t, ErrNotSimulable, err)
-							return
-						}
-						probs = v.Probabilities()
-						if t == 0 && noiseless {
-							first = v
-						}
-					} else {
-						v, err := plan.RunShot(ws, rng)
-						if err != nil {
-							errs[w] = fmt.Errorf("trajectory %d: %w: %v", t, ErrNotSimulable, err)
-							return
-						}
-						probs = ws.BornProbabilities()
-						// The workspace state is recycled next shot, so a
-						// snapshot must clone — only worth it when the
-						// noiseless Execution will actually expose it.
-						if t == 0 && noiseless {
-							first = v.Clone()
-						}
+					v, err := plan.RunShot(ws, rng)
+					if err != nil {
+						errs[w] = fmt.Errorf("trajectory %d: %w: %v", t, ErrNotSimulable, err)
+						return
+					}
+					probs := ws.BornProbabilities()
+					// The workspace state is recycled next shot, so a
+					// snapshot must clone — only worth it when the
+					// noiseless Execution will actually expose it.
+					if t == 0 && noiseless {
+						first = v.Clone()
 					}
 					for i, p := range probs {
 						local[i] += p
@@ -432,7 +318,7 @@ func (b TrajectoryBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution
 		out.State = first
 	}
 	if spec.Shots > 0 {
-		out.Counts = countsFromIndices(sp, outcomes)
+		out.Counts = countsFromIndices(plan.Space(), outcomes)
 	}
 	return out, nil
 }

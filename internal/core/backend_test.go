@@ -242,7 +242,7 @@ func TestCountsMatchPerShotAdd(t *testing.T) {
 	model := noise.Model{Depol1: 2e-3, Depol2: 1e-2, Damping: 5e-3}
 	dec := hilbert.NewDigitDecoder(mustSpace(t, c))
 
-	pure, err := planFor(c, noise.Model{}, 0, false)
+	pure, err := planFor(c, noise.Model{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCountsMatchPerShotAdd(t *testing.T) {
 		wantSV.Add(dec.Decode(sampler.Draw(rng)))
 	}
 
-	noisy, err := planFor(c, model, 0, false)
+	noisy, err := planFor(c, model, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,6 @@ func TestCountsMatchPerShotAdd(t *testing.T) {
 		{"statevector", StatevectorBackend{}, ExecSpec{Shots: shots, Seed: seed}, wantSV},
 		{"density", DensityMatrixBackend{}, ExecSpec{Noise: model, Shots: shots, Seed: seed}, wantDM},
 		{"trajectory", TrajectoryBackend{}, ExecSpec{Noise: model, Shots: shots, Seed: seed, Workers: 3}, wantTraj},
-		{"trajectory-interpreted", TrajectoryBackend{Interpreted: true}, ExecSpec{Noise: model, Shots: shots, Seed: seed}, wantTraj},
 	} {
 		exec, err := tc.be.Execute(c, tc.spec)
 		if err != nil {

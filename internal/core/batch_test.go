@@ -7,42 +7,7 @@ import (
 	"quditkit/internal/circuit"
 	"quditkit/internal/gates"
 	"quditkit/internal/hilbert"
-	"quditkit/internal/noise"
 )
-
-// TestShotBatchExecutionMatchesUnbatched pins the backend half of the
-// batch contract inside package core: a trajectory Execution with
-// ShotBatch set must produce byte-identical Counts and MeanProbs to
-// the single-shot path at every worker count, because each trajectory
-// keeps its own shot-index-derived stream no matter how shots are
-// grouped.
-func TestShotBatchExecutionMatchesUnbatched(t *testing.T) {
-	c := randomQutritCircuit(t, 4242, 3)
-	model := noise.Model{Depol1: 0.02, Depol2: 0.04, Damping: 0.01, Dephasing: 0.02}
-	base, err := TrajectoryBackend{}.Execute(c, ExecSpec{Noise: model, Shots: 96, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{8, 32} {
-			got, err := TrajectoryBackend{}.Execute(c, ExecSpec{
-				Noise: model, Shots: 96, Seed: 9, Workers: workers, ShotBatch: batch,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Counts.Equal(base.Counts) {
-				t.Fatalf("workers=%d batch=%d: counts %v != unbatched %v",
-					workers, batch, got.Counts, base.Counts)
-			}
-			for k := range base.MeanProbs {
-				if got.MeanProbs[k] != base.MeanProbs[k] {
-					t.Fatalf("workers=%d batch=%d basis %d: MeanProbs diverge", workers, batch, k)
-				}
-			}
-		}
-	}
-}
 
 // TestPlanCacheFusionCounters: compiling a fusable circuit must bump
 // the process-wide fusion gauges /v1/stats reports, and PlanCacheReset
@@ -80,11 +45,6 @@ func TestPlanCacheFusionCounters(t *testing.T) {
 // TestRunOptionResolvers covers the option plumbing job-service layers
 // read back out of an option list.
 func TestRunOptionResolvers(t *testing.T) {
-	cfg := defaultRunConfig()
-	WithShotBatch(16)(&cfg)
-	if cfg.shotBatch != 16 {
-		t.Fatalf("WithShotBatch(16) set %d", cfg.shotBatch)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if got := ContextOf(WithContext(ctx)); got != ctx {

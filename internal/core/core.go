@@ -154,7 +154,6 @@ func (p *Processor) runJob(job Job) (Result, error) {
 		Shots:       cfg.shots,
 		Seed:        mixSeed(seed, streamSampling),
 		Workers:     cfg.workers,
-		ShotBatch:   cfg.shotBatch,
 		TranspileFP: pipe.Fingerprint(),
 	})
 	if err != nil {

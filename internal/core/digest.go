@@ -19,9 +19,9 @@ import (
 // byte-identical Results, which is the contract the job-service result
 // cache relies on.
 //
-// Deliberately excluded: WithWorkers and WithShotBatch (trajectory
-// counts are bit-identical for any worker count and batch size) and
-// WithContext (cancellation never influences a completed result).
+// Deliberately excluded: WithWorkers (trajectory counts are
+// bit-identical for any worker count) and WithContext (cancellation
+// never influences a completed result).
 // Submissions differing only in those options therefore share a cache
 // entry.
 func OptionsDigest(opts ...RunOption) uint64 {

@@ -43,17 +43,16 @@ func (k BackendKind) String() string {
 
 // runConfig is the resolved configuration of one job.
 type runConfig struct {
-	backend   BackendKind
-	shots     int
-	noise     noise.Model
-	noiseSet  bool
-	seed      int64
-	seedSet   bool
-	workers   int
-	shotBatch int
-	device    *arch.Device
-	level     transpile.Level
-	ctx       context.Context
+	backend  BackendKind
+	shots    int
+	noise    noise.Model
+	noiseSet bool
+	seed     int64
+	seedSet  bool
+	workers  int
+	device   *arch.Device
+	level    transpile.Level
+	ctx      context.Context
 }
 
 func defaultRunConfig() runConfig {
@@ -142,20 +141,6 @@ func WithSeed(s int64) RunOption {
 // index.
 func WithWorkers(n int) RunOption {
 	return func(c *runConfig) { c.workers = n }
-}
-
-// WithShotBatch streams up to k trajectory state vectors through the
-// compiled plan together per worker (Trajectory backend only; other
-// backends ignore it). Batching amortizes kernel dispatch and index
-// traversal across the batch at the cost of k state vectors of memory
-// per worker (clamped to a fixed per-worker budget). Results are
-// bit-for-bit identical for every batch size — each trajectory keeps
-// its own seed-derived stream and per-shot accumulation order — so,
-// like WithWorkers, the option is excluded from OptionsDigest and jobs
-// differing only in batch size share cached results. Values below 2
-// select the single-shot path.
-func WithShotBatch(k int) RunOption {
-	return func(c *runConfig) { c.shotBatch = k }
 }
 
 // WithContext attaches a cancellation context to the job. Submit checks

@@ -22,10 +22,9 @@ const planCacheCap = 128
 // backend use) keeps plans lowered against different devices or levels
 // from ever aliasing through a circuit-fingerprint collision.
 type planKey struct {
-	fp     uint64
-	tfp    uint64
-	model  noise.Model
-	nofuse bool // fusion-disabled plans (differential runs) never alias fused ones
+	fp    uint64
+	tfp   uint64
+	model noise.Model
 }
 
 // planCache is a process-wide bounded FIFO cache of compiled execution
@@ -47,9 +46,8 @@ var planCache = struct {
 // collision between genuinely different circuits is caught by the
 // dimension check and recompiled without caching (the same collision
 // tolerance the result cache accepts).
-func planFor(c *circuit.Circuit, model noise.Model, transpileFP uint64, nofuse bool) (*circuit.Plan, error) {
-	key := planKey{fp: Fingerprint(c), tfp: transpileFP, model: model, nofuse: nofuse}
-	copts := circuit.CompileOptions{DisableFusion: nofuse}
+func planFor(c *circuit.Circuit, model noise.Model, transpileFP uint64) (*circuit.Plan, error) {
+	key := planKey{fp: Fingerprint(c), tfp: transpileFP, model: model}
 	planCache.mu.Lock()
 	if p, ok := planCache.plans[key]; ok {
 		planCache.mu.Unlock()
@@ -57,11 +55,11 @@ func planFor(c *circuit.Circuit, model noise.Model, transpileFP uint64, nofuse b
 			planCache.hits.Add(1)
 			return p, nil
 		}
-		return c.CompileWith(model, copts) // fingerprint collision: do not poison the cache
+		return c.Compile(model) // fingerprint collision: do not poison the cache
 	}
 	planCache.mu.Unlock()
 	planCache.misses.Add(1)
-	p, err := c.CompileWith(model, copts)
+	p, err := c.Compile(model)
 	if err != nil {
 		return nil, err
 	}

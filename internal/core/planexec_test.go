@@ -6,51 +6,6 @@ import (
 	"quditkit/internal/noise"
 )
 
-// TestTrajectoryCompiledMatchesInterpreted: the compiled Plan engine and
-// the legacy interpreter must produce byte-identical Counts and
-// MeanProbs for a fixed seed, at every worker count. This is the
-// differential guarantee the Interpreted flag exists for.
-func TestTrajectoryCompiledMatchesInterpreted(t *testing.T) {
-	c := randomQutritCircuit(t, 2024, 3)
-	model := noise.Model{Depol1: 0.01, Depol2: 0.05, Damping: 0.03, Dephasing: 0.02}
-	spec := ExecSpec{Noise: model, Shots: 96, Seed: 17}
-
-	var base Execution
-	for i, workers := range []int{1, 4, 8} {
-		spec.Workers = workers
-		compiled, err := TrajectoryBackend{}.Execute(c, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		interpreted, err := TrajectoryBackend{Interpreted: true}.Execute(c, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !compiled.Counts.Equal(interpreted.Counts) {
-			t.Fatalf("workers=%d: compiled counts %v != interpreted %v",
-				workers, compiled.Counts, interpreted.Counts)
-		}
-		for k := range compiled.MeanProbs {
-			if compiled.MeanProbs[k] != interpreted.MeanProbs[k] {
-				t.Fatalf("workers=%d basis %d: compiled mean %v != interpreted %v",
-					workers, k, compiled.MeanProbs[k], interpreted.MeanProbs[k])
-			}
-		}
-		if i == 0 {
-			base = compiled
-			continue
-		}
-		if !base.Counts.Equal(compiled.Counts) {
-			t.Fatalf("counts differ between 1 and %d workers", workers)
-		}
-		for k := range base.MeanProbs {
-			if base.MeanProbs[k] != compiled.MeanProbs[k] {
-				t.Fatalf("MeanProbs differ between 1 and %d workers at basis %d", workers, k)
-			}
-		}
-	}
-}
-
 // TestStatevectorCompiledMatchesInterpreted: the plan-backed statevector
 // backend must match a direct interpreted Run plus shared-sampler
 // sampling, probability-bit for probability-bit.
@@ -101,12 +56,12 @@ func TestDensityCompiledMatchesInterpreted(t *testing.T) {
 func TestPlanCacheReusesPlans(t *testing.T) {
 	c := randomQutritCircuit(t, 777, 2)
 	model := noise.Model{Damping: 0.02}
-	p1, err := planFor(c, model, 0, false)
+	p1, err := planFor(c, model, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits0, _, _ := PlanCacheStats()
-	p2, err := planFor(c, model, 0, false)
+	p2, err := planFor(c, model, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +76,7 @@ func TestPlanCacheReusesPlans(t *testing.T) {
 		t.Errorf("plan cache empty after compile")
 	}
 	// A different model is a different plan.
-	p3, err := planFor(c, noise.Model{Damping: 0.05}, 0, false)
+	p3, err := planFor(c, noise.Model{Damping: 0.05}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

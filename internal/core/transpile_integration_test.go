@@ -165,18 +165,18 @@ func TestOptionsDigestTranspileFields(t *testing.T) {
 func TestPlanCacheSeparatesTranspileFingerprints(t *testing.T) {
 	c := randomQutritCircuit(t, 4242, 2)
 	model := noise.Model{Damping: 0.01}
-	p1, err := planFor(c, model, 11, false)
+	p1, err := planFor(c, model, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := planFor(c, model, 22, false)
+	p2, err := planFor(c, model, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 == p2 {
 		t.Error("distinct transpile fingerprints shared one plan")
 	}
-	p3, err := planFor(c, model, 11, false)
+	p3, err := planFor(c, model, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

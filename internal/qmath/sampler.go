@@ -76,8 +76,8 @@ func (s *CDFSampler) Draw(rng *rand.Rand) int {
 // every Seed into a 607-word lagged-Fibonacci table — profiled at ~46%
 // of a compiled noisy shot, because the engine reseeds per shot to give
 // trajectory t its own (seed, t)-derived stream. Every trajectory path
-// (interpreted, compiled, batched, any worker count) draws from this
-// one generator, which is what preserves their byte-identity; shot
+// (interpreted, compiled, fused, any worker count) draws from this one
+// generator, which is what preserves their byte-identity; shot
 // benchmarks reseed through it too, so they time the shot production
 // runs. Use it as rand.New(new(ShotSource)).
 type ShotSource struct{ s uint64 }

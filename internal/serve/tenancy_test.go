@@ -408,16 +408,15 @@ func TestMixedTenantByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMixedTenantBatchedByteIdentical extends fairness criterion (c)
-// to shot batching: a saturated weighted-DRR service running every job
-// with shot_batch=32 returns results byte-identical to an undisturbed
-// single-tenant service running the same submissions unbatched. The
-// batch knob must change throughput only — not results (the engine's
-// byte-identity contract) and not scheduling identity (WithShotBatch
-// is excluded from OptionsDigest, so a batched job deduplicates and
-// caches exactly like its unbatched twin, and the DRR queue charges
-// both one slot).
-func TestMixedTenantBatchedByteIdentical(t *testing.T) {
+// TestMixedTenantTrajectoryWidthsByteIdentical extends fairness
+// criterion (c) to noisy trajectory jobs run at mixed pool widths: a
+// saturated weighted-DRR service running the jobs at 1 and 4 workers
+// returns results byte-identical to an undisturbed single-tenant
+// service running the same submissions at its default width. Width
+// changes throughput only — not results (the engine's byte-identity
+// contract) and not scheduling identity (WithWorkers is excluded from
+// OptionsDigest, and the DRR queue charges every job one slot).
+func TestMixedTenantTrajectoryWidthsByteIdentical(t *testing.T) {
 	const n = 6
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -429,11 +428,6 @@ func TestMixedTenantBatchedByteIdentical(t *testing.T) {
 			core.WithShots(512),
 			core.WithSeed(int64(3000 + i)),
 		}
-	}
-
-	// The scheduler and caches must see a batched job as the same job.
-	if core.OptionsDigest(jobOpts(0)...) != core.OptionsDigest(append(jobOpts(0), core.WithShotBatch(32))...) {
-		t.Fatal("WithShotBatch changed OptionsDigest; batched jobs would miss the result cache")
 	}
 
 	baseline := make([][]byte, n)
@@ -468,8 +462,7 @@ func TestMixedTenantBatchedByteIdentical(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		id, err := s.EnqueueAs(bully, ghz(t),
 			core.WithBackend(core.Trajectory), core.WithNoise(model),
-			core.WithShots(256), core.WithSeed(int64(7000+i)),
-			core.WithShotBatch(32))
+			core.WithShots(256), core.WithSeed(int64(7000+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +474,7 @@ func TestMixedTenantBatchedByteIdentical(t *testing.T) {
 		if i%2 == 1 {
 			owner = bob
 		}
-		opts := append(jobOpts(i), core.WithShotBatch(32), core.WithWorkers(1+i%2*3))
+		opts := append(jobOpts(i), core.WithWorkers(1+i%2*3))
 		id, err := s.EnqueueAs(owner, ghz(t), opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -498,7 +491,7 @@ func TestMixedTenantBatchedByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(baseline[i]) {
-			t.Fatalf("batched job %d diverged from unbatched baseline:\n%s\n%s", i, got, baseline[i])
+			t.Fatalf("job %d at %d workers diverged from the baseline:\n%s\n%s", i, 1+i%2*3, got, baseline[i])
 		}
 	}
 	for _, id := range load {
@@ -506,12 +499,12 @@ func TestMixedTenantBatchedByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Fairness accounting is undisturbed by batching: every weighted
+	// Fairness accounting is undisturbed by mixed widths: every weighted
 	// tenant's jobs completed and nothing was rejected or failed.
 	for _, acct := range []*tenant.Account{acme, bob} {
 		u := acct.Snapshot()
 		if u.Completed != n/2 || u.Failed != 0 || u.QuotaRejected != 0 {
-			t.Fatalf("%s accounting under batched load: %+v", acct.Name(), u)
+			t.Fatalf("%s accounting under mixed-width load: %+v", acct.Name(), u)
 		}
 	}
 }

@@ -84,9 +84,9 @@ const (
 	MaxShots = 1 << 20
 	// MaxWorkers caps the requested trajectory pool width.
 	MaxWorkers = 256
-	// MaxShotBatch caps the requested per-worker shot batch; the
-	// engine additionally clamps the batch arena to a fixed memory
-	// budget, so the cap only bounds obviously absurd requests.
+	// MaxShotBatch caps the deprecated shot_batch field. The engine
+	// ignores the field, but the bound stays so every request rejected
+	// before is still rejected.
 	MaxShotBatch = 4096
 	// MaxDeviceCavities caps the chain length of a wire-requested
 	// device (see DeviceSpec); forecast modules carry at most 4 modes,
@@ -372,9 +372,10 @@ type JobRequest struct {
 	// affects results or the cache key. Omitted, the service picks:
 	// every core for a job alone on the node, else one worker.
 	Workers int `json:"workers,omitempty"`
-	// ShotBatch streams up to this many trajectory shots through the
-	// plan together per worker (core.WithShotBatch); like Workers it
-	// never affects results or the cache key.
+	// ShotBatch is deprecated and ignored: trajectory shots run one at
+	// a time. It is still accepted up to MaxShotBatch, so clients that
+	// send it keep working, and it never affected results or the cache
+	// key.
 	ShotBatch int `json:"shot_batch,omitempty"`
 	// Noise attaches an explicit per-gate noise model.
 	Noise *NoiseSpec `json:"noise,omitempty"`
@@ -427,9 +428,6 @@ func (r JobRequest) Options(proc *core.Processor) ([]core.RunOption, error) {
 	}
 	if r.ShotBatch > MaxShotBatch {
 		return nil, fmt.Errorf("serve: %d shot_batch exceeds the limit of %d", r.ShotBatch, MaxShotBatch)
-	}
-	if r.ShotBatch > 0 {
-		opts = append(opts, core.WithShotBatch(r.ShotBatch))
 	}
 	if r.Noise != nil && r.DeriveNoiseDim > 0 {
 		return nil, fmt.Errorf("serve: noise and derive_noise_dim are mutually exclusive")
