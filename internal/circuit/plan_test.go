@@ -264,3 +264,66 @@ func TestCompileRejectsBadMatrix(t *testing.T) {
 		t.Error("mismatched gate matrix accepted by Compile")
 	}
 }
+
+// kernelZoo builds a circuit whose compiled plan exercises every
+// kernel: fused diagonal stages, fused dense stages, and the single-op
+// diagonal, monomial, controlled, dense, and two-qudit monomial
+// kernels.
+func kernelZoo(t *testing.T) *Circuit {
+	t.Helper()
+	d := 3
+	return mustCircuit(t, hilbert.Dims{d, d},
+		step{gates.Z(d), []int{0}},
+		step{gates.SNAP([]float64{0.2, 0.5, 0.9}), []int{0}}, // fuses with Z: diagonal stages
+		step{gates.X(d), []int{1}},
+		step{gates.DFT(d), []int{1}}, // fuses with X: dense stages
+		step{gates.X(d), []int{0}},   // lone monomial
+		step{gates.ControlledU(d, 2, gates.Givens(d, 0, 1, 0.4, 0.9).Matrix), []int{0, 1}}, // lone controlled
+		step{gates.Z(d), []int{1}},          // lone diagonal
+		step{gates.DFT(d), []int{0}},        // lone dense
+		step{gates.CSUM(d, d), []int{0, 1}}, // lone two-qudit monomial
+	)
+}
+
+// TestPlanAccessors covers the introspection surface the service and
+// stats layers read from a compiled plan.
+func TestPlanAccessors(t *testing.T) {
+	c := kernelZoo(t)
+	if c.NumWires() != 2 {
+		t.Fatalf("NumWires = %d, want 2", c.NumWires())
+	}
+	model := noise.Model{Depol1: 0.01}
+	p, err := c.Compile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Len() != c.Len() {
+		t.Fatalf("Plan.Len = %d, want %d", p.Len(), c.Len())
+	}
+	if got := p.Dims(); !got.Equal(c.Dims()) {
+		t.Fatalf("Plan.Dims = %v, want %v", got, c.Dims())
+	}
+	if p.Space().Total() != 9 {
+		t.Fatalf("Space().Total() = %d, want 9", p.Space().Total())
+	}
+	if p.Model() != model {
+		t.Fatalf("Model() = %+v, want %+v", p.Model(), model)
+	}
+	for kind, want := range map[KernelKind]string{
+		KernelDiagonal:   "diagonal",
+		KernelMonomial:   "monomial",
+		KernelControlled: "controlled",
+		KernelDense:      "dense",
+	} {
+		if kind.String() != want {
+			t.Errorf("KernelKind(%d).String() = %q, want %q", kind, kind.String(), want)
+		}
+	}
+	ws, err := p.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.RunPure(ws); got != ws.State() {
+		t.Fatal("RunPure result does not alias Workspace.State")
+	}
+}

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 
+	"quditkit/internal/circuit"
+	"quditkit/internal/gates"
+	"quditkit/internal/hilbert"
 	"quditkit/internal/noise"
 )
 
@@ -82,5 +85,38 @@ func TestPlanCacheReusesPlans(t *testing.T) {
 	}
 	if p3 == p1 {
 		t.Error("distinct noise models shared one plan")
+	}
+}
+
+// TestPlanCacheFusionCounters: compiling a fusable circuit must bump
+// the process-wide fusion gauges /v1/stats reports, and PlanCacheReset
+// must zero them.
+func TestPlanCacheFusionCounters(t *testing.T) {
+	PlanCacheReset()
+	c, err := circuit.New(hilbert.Dims{3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.MustAppend(gates.Z(3), 0)
+	c.MustAppend(gates.SNAP([]float64{0.1, 0.2, 0.3}), 0)
+	c.MustAppend(gates.DFT(3), 0)
+	c.MustAppend(gates.CSUM(3, 3), 0, 1)
+	if _, err := (TrajectoryBackend{}).Execute(c, ExecSpec{Shots: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	plans, ops := PlanCacheFusion()
+	if plans != 1 || ops != 2 {
+		t.Fatalf("fusion counters = (%d plans, %d ops), want (1, 2)", plans, ops)
+	}
+	// A cache hit must not double-count fusion work.
+	if _, err := (TrajectoryBackend{}).Execute(c, ExecSpec{Shots: 4, Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if plans, ops = PlanCacheFusion(); plans != 1 || ops != 2 {
+		t.Fatalf("cache hit changed fusion counters to (%d, %d)", plans, ops)
+	}
+	PlanCacheReset()
+	if plans, ops = PlanCacheFusion(); plans != 0 || ops != 0 {
+		t.Fatalf("PlanCacheReset left fusion counters at (%d, %d)", plans, ops)
 	}
 }

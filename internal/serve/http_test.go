@@ -227,3 +227,71 @@ func countTotal(counts map[string]int) int {
 	}
 	return n
 }
+
+// TestShotBatchIsIgnored: shot_batch is deprecated and does nothing. A
+// trajectory request that sends it resolves to the same options digest
+// as one without it and answers with byte-identical result JSON, while
+// a value over MaxShotBatch is still a 400 with the same message.
+func TestShotBatchIsIgnored(t *testing.T) {
+	s := newTestService(t, Config{CacheSize: -1})
+	ts := httptest.NewServer(NewHandler(s))
+	t.Cleanup(ts.Close)
+	seed := int64(5)
+	plain := ghzRequest()
+	plain.Backend = "trajectory"
+	plain.Noise = &NoiseSpec{Depol1: 0.02, Damping: 0.01}
+	plain.Seed = &seed
+	batched := plain
+	batched.ShotBatch = 32
+
+	po, err := plain.Options(s.Processor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bo, err := batched.Options(s.Processor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.OptionsDigest(po...) != core.OptionsDigest(bo...) {
+		t.Fatal("shot_batch changed the options digest")
+	}
+
+	post := func(req JobRequest) (int, map[string]json.RawMessage) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var fields map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&fields); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, fields
+	}
+	status, want := post(plain)
+	if status != http.StatusOK || len(want["result"]) == 0 {
+		t.Fatalf("plain request: status %d, body %v", status, want)
+	}
+	status, got := post(batched)
+	if status != http.StatusOK || string(got["result"]) != string(want["result"]) {
+		t.Fatalf("shot_batch 32: status %d, result\n%s\nwant\n%s", status, got["result"], want["result"])
+	}
+	if string(got["cached"]) == "true" {
+		t.Fatal("the second run came from the result cache, so the comparison proves nothing")
+	}
+
+	batched.ShotBatch = MaxShotBatch + 1
+	status, fields := post(batched)
+	var detail httpapi.ErrorDetail
+	if err := json.Unmarshal(fields["error"], &detail); err != nil {
+		t.Fatal(err)
+	}
+	if want := "serve: 4097 shot_batch exceeds the limit of 4096"; status != http.StatusBadRequest || detail.Message != want {
+		t.Fatalf("shot_batch 4097: status %d, message %q; want 400, %q", status, detail.Message, want)
+	}
+}
