@@ -1,6 +1,7 @@
-// Package difftest is the differential proof layer for the trajectory
-// engine. Run drives one (circuit, noise model, seed, shots) case
-// through every path and demands byte-identical results:
+// Package difftest is the differential proof layer for the execution
+// engines. It drives one (circuit, noise model, seed, shots) case
+// through every path and demands byte-identical results. Run covers
+// the trajectory engine:
 //
 //   - Every trajectory shot runs three ways — the per-op interpreter
 //     (Circuit.RunTrajectory), the compiled plan without fusion, and the
@@ -14,6 +15,10 @@
 //     runs the fused plan one shot at a time in one shot loop, so
 //     per-shot identity plus identity across widths proves its Execution
 //     is the one the interpreter would give.
+//
+// Exact covers the pure path (Plan.RunPure against Circuit.Run) and the
+// density path (Plan.RunDensity against the interpreted
+// Circuit.RunDensityOn), fused and unfused.
 //
 // Byte-identity (not approximate closeness) is the repo's contract:
 // every fast path must perform the same floating-point operations in
@@ -32,6 +37,7 @@ import (
 
 	"quditkit/internal/circuit"
 	"quditkit/internal/core"
+	"quditkit/internal/density"
 	"quditkit/internal/gates"
 	"quditkit/internal/hilbert"
 	"quditkit/internal/noise"
@@ -157,6 +163,53 @@ func Shots(cs Case) error {
 				return fmt.Errorf("%s: shot %d: %s consumed a different number of draws than interpreted (next draw %#x vs %#x)",
 					cs.Name, t, names[i], d, next)
 			}
+		}
+	}
+	return nil
+}
+
+// Exact compares the exact engines with their interpreted references,
+// bit for bit, on plans compiled without and with fusion: Plan.RunPure
+// against Circuit.Run, and Plan.RunDensity against
+// Circuit.RunDensityOn under the case's noise model, idle rates
+// included.
+func Exact(cs Case) error {
+	unfused, fused, err := plans(cs)
+	if err != nil {
+		return err
+	}
+	pure, err := cs.Circuit.Run()
+	if err != nil {
+		return fmt.Errorf("%s: interpreted Run: %w", cs.Name, err)
+	}
+	rho, err := density.NewZero(cs.Circuit.Dims())
+	if err != nil {
+		return err
+	}
+	if err := cs.Circuit.RunDensityOn(rho, cs.Noise); err != nil {
+		return fmt.Errorf("%s: interpreted RunDensityOn: %w", cs.Name, err)
+	}
+	for _, p := range []struct {
+		name string
+		plan *circuit.Plan
+	}{{"plan(nofuse)", unfused}, {"plan(fused)", fused}} {
+		ws, err := p.plan.NewWorkspace()
+		if err != nil {
+			return err
+		}
+		got := p.plan.RunPure(ws).RawAmplitudes()
+		if k := firstDiff(pure.RawAmplitudes(), got); k >= 0 {
+			return fmt.Errorf("%s: pure amplitude %d diverges between Circuit.Run and %s.RunPure: %v vs %v",
+				cs.Name, k, p.name, pure.RawAmplitudes()[k], got[k])
+		}
+		r, err := p.plan.RunDensity()
+		if err != nil {
+			return fmt.Errorf("%s: %s.RunDensity: %w", cs.Name, p.name, err)
+		}
+		want, gotRho := rho.Matrix().Data, r.Matrix().Data
+		if k := firstDiff(want, gotRho); k >= 0 {
+			return fmt.Errorf("%s: density entry %d diverges between RunDensityOn and %s.RunDensity: %v vs %v",
+				cs.Name, k, p.name, want[k], gotRho[k])
 		}
 	}
 	return nil

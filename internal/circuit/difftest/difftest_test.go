@@ -17,10 +17,24 @@ import (
 // every shot samples each of them.
 var gateNoise = noise.Model{Depol1: 0.05, Depol2: 0.10, Damping: 0.02, Dephasing: 0.03}
 
+// idleNoise adds idle decoherence, which only the density path applies:
+// it charges idle channels to untouched wires once per ASAP moment, and
+// it keeps the plan unfused (every moment becomes a barrier). The
+// trajectory paths ignore idle rates, so the grid runs this model
+// through Exact only.
+var idleNoise = noise.Model{
+	Depol1: 0.05, Depol2: 0.10, Damping: 0.02, Dephasing: 0.03,
+	IdleDamping: 0.01, IdleDephasing: 0.02,
+}
+
 // TestDifferentialGrid is the acceptance grid: every (circuit, noise
 // model, seed) case runs each shot through the interpreter, the unfused
-// plan and the fused plan, and runs the trajectory backend at worker
-// counts {1,4,8}. Every comparison must be bit-exact.
+// plan and the fused plan, runs the trajectory backend at worker counts
+// {1,4,8} (Run), and compares the pure and density paths with their
+// interpreted references (Exact). Every comparison must be bit-exact.
+// The interpreted density reference clones ρ for each Kraus operator,
+// so the 64-dimension register runs Exact at seed 1 only, which keeps
+// the race-detector run short.
 func TestDifferentialGrid(t *testing.T) {
 	t.Parallel()
 	registers := []hilbert.Dims{
@@ -29,11 +43,13 @@ func TestDifferentialGrid(t *testing.T) {
 		{4, 4, 2, 2}, // two fusable same-dim pairs plus qubit tail
 	}
 	models := []struct {
-		name  string
-		model noise.Model
+		name         string
+		model        noise.Model
+		trajectories bool
 	}{
-		{"noiseless", noise.Model{}},
-		{"gatenoise", gateNoise},
+		{"noiseless", noise.Model{}, true},
+		{"gatenoise", gateNoise, true},
+		{"idlenoise", idleNoise, false},
 	}
 	cfg := DefaultConfig()
 	for ri, dims := range registers {
@@ -50,10 +66,18 @@ func TestDifferentialGrid(t *testing.T) {
 					Seed:    seed,
 					Shots:   96,
 				}
+				exact := dims.Total() <= 27 || seed == 1
 				t.Run(cs.Name, func(t *testing.T) {
 					t.Parallel()
-					if err := Run(cs, cfg); err != nil {
-						t.Fatal(err)
+					if m.trajectories {
+						if err := Run(cs, cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if exact {
+						if err := Exact(cs); err != nil {
+							t.Fatal(err)
+						}
 					}
 				})
 			}
@@ -84,6 +108,9 @@ func TestDifferentialGHZ(t *testing.T) {
 		}
 	}
 	model := noise.Model{Depol1: 0.02}
+	if err := Exact(Case{Name: "ghz", Circuit: c, Noise: model}); err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		cs := Case{
 			Name:    fmt.Sprintf("ghz/seed=%d", seed),

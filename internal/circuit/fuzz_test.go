@@ -96,7 +96,8 @@ func circuitFromBytes(data []byte) *Circuit {
 // circuitFromBytes and asserts the fused and unfused compilations of
 // the resulting circuit produce bit-identical pure states, and — when
 // the decoded circuit actually fused something — bit-identical noisy
-// trajectory shots from equal rng streams. The seed corpus under
+// trajectory shots from equal rng streams and bit-identical noisy
+// density matrices. The seed corpus under
 // testdata/fuzz covers every kernel class and register shape and is
 // replayed by plain `go test`, so the equivalence check runs in CI on
 // every build even without -fuzz time.
@@ -168,6 +169,22 @@ func FuzzFusionEquivalence(f *testing.F) {
 		for i := range sua {
 			if sfa[i] != sua[i] {
 				t.Fatalf("noisy shot amplitude %d diverges: fused %v, unfused %v", i, sfa[i], sua[i])
+			}
+		}
+		// The density path applies a fused kernel's stages one by one,
+		// then its channels, so it must agree bit-for-bit as well.
+		rf, err := nf.RunDensity()
+		if err != nil {
+			t.Fatalf("fused density: %v", err)
+		}
+		ru, err := nu.RunDensity()
+		if err != nil {
+			t.Fatalf("unfused density: %v", err)
+		}
+		dfa, dua := rf.Matrix().Data, ru.Matrix().Data
+		for i := range dua {
+			if dfa[i] != dua[i] {
+				t.Fatalf("density entry %d diverges: fused %v, unfused %v", i, dfa[i], dua[i])
 			}
 		}
 	})
