@@ -13,7 +13,7 @@
 // On amd64 at GOAMD64 v1 or v2 (what CI runs) a golden must match byte
 // for byte. Other targets may fuse multiply-adds, which changes the
 // last bits of a float; there every number compares within Tolerance
-// instead (see Equal), and every other token still compares exactly.
+// instead, and every other token still compares exactly.
 package golden
 
 import (
@@ -39,7 +39,7 @@ const Tolerance = 1e-9
 
 // Bits renders x as its IEEE-754 bit pattern, "0x" and 16 hex digits,
 // so a golden file pins a float exactly rather than at printed
-// precision. Equal decodes the pattern back when it must compare
+// precision. Check decodes the pattern back when it must compare
 // within Tolerance.
 func Bits(x float64) string {
 	return fmt.Sprintf("0x%016x", math.Float64bits(x))
@@ -62,7 +62,7 @@ func Check(t testing.TB, path string, got []byte) {
 	if err != nil {
 		t.Fatalf("%v (run the tests with the update flag to create it)", err)
 	}
-	if exactBits && bytes.Equal(got, want) || !exactBits && Equal(got, want) {
+	if exactBits && bytes.Equal(got, want) || !exactBits && equal(got, want) {
 		return
 	}
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
@@ -81,10 +81,10 @@ func Check(t testing.TB, path string, got []byte) {
 	t.Fatalf("%s differs from the golden file", path)
 }
 
-// Equal reports whether got and want hold the same tokens, comparing
+// equal reports whether got and want hold the same tokens, comparing
 // numbers within Tolerance and everything else exactly. Tokens are
 // separated by white space and by the JSON punctuation ,:[]{}".
-func Equal(got, want []byte) bool {
+func equal(got, want []byte) bool {
 	sep := func(r rune) bool { return strings.ContainsRune(" \t\n,:[]{}\"", r) }
 	gt, wt := strings.FieldsFunc(string(got), sep), strings.FieldsFunc(string(want), sep)
 	if len(gt) != len(wt) {

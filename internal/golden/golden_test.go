@@ -25,8 +25,8 @@ func TestEqualToleratesOnlyNumbers(t *testing.T) {
 		{"a b", "a b c", false},
 		{"E1 0.5", "E2 0.5", false},
 	} {
-		if got := Equal([]byte(tc.got), []byte(tc.want)); got != tc.equal {
-			t.Errorf("Equal(%q, %q) = %v, want %v", tc.got, tc.want, got, tc.equal)
+		if got := equal([]byte(tc.got), []byte(tc.want)); got != tc.equal {
+			t.Errorf("equal(%q, %q) = %v, want %v", tc.got, tc.want, got, tc.equal)
 		}
 	}
 }
