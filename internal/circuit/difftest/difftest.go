@@ -6,8 +6,9 @@
 //   - Every trajectory shot runs three ways — the per-op interpreter
 //     (Circuit.RunTrajectory), the compiled plan without fusion, and the
 //     fused plan — on identically seeded qmath.ShotSource streams. Each
-//     shot must leave bit-equal amplitudes and the same next draw, so all
-//     three consumed the same number of draws.
+//     shot must leave equal amplitudes (bit-equal up to the sign of a
+//     zero) and the same next draw, so all three consumed the same
+//     number of draws.
 //   - core.TrajectoryBackend runs the case at every worker count of the
 //     grid, and each Execution must equal the one at width 1: same
 //     Counts, same MeanProbs bits, same per-wire marginal bits, same
@@ -115,8 +116,8 @@ func plans(cs Case) (unfused, fused *circuit.Plan, err error) {
 // Shots runs every trajectory shot of the case through the interpreter,
 // the unfused plan and the fused plan. Shot t of all three paths draws
 // from a qmath.ShotSource seeded alike (from cs.Seed, not the backend's
-// per-shot seeds); each shot must leave bit-equal amplitudes on all
-// three, and the next draw of all three streams must agree.
+// per-shot seeds); each shot must leave equal amplitudes on all three
+// (see firstDiff), and the next draw of all three streams must agree.
 func Shots(cs Case) error {
 	unfused, fused, err := plans(cs)
 	if err != nil {
