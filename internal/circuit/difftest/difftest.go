@@ -68,10 +68,10 @@ func DefaultConfig() Config {
 
 // Run executes the case through every trajectory path and returns an
 // error naming the first one that diverges: the per-shot oracle
-// (Shots), then the backend at every worker count of cfg against
+// (shots), then the backend at every worker count of cfg against
 // width 1.
 func Run(cs Case, cfg Config) error {
-	if err := Shots(cs); err != nil {
+	if err := shots(cs); err != nil {
 		return err
 	}
 	ref, err := exec(cs, 1)
@@ -113,12 +113,12 @@ func plans(cs Case) (unfused, fused *circuit.Plan, err error) {
 	return unfused, fused, nil
 }
 
-// Shots runs every trajectory shot of the case through the interpreter,
+// shots runs every trajectory shot of the case through the interpreter,
 // the unfused plan and the fused plan. Shot t of all three paths draws
 // from a qmath.ShotSource seeded alike (from cs.Seed, not the backend's
 // per-shot seeds); each shot must leave equal amplitudes on all three
 // (see firstDiff), and the next draw of all three streams must agree.
-func Shots(cs Case) error {
+func shots(cs Case) error {
 	unfused, fused, err := plans(cs)
 	if err != nil {
 		return err
