@@ -103,7 +103,6 @@ type options struct {
 	seed     int64
 	shards   int
 	queue    int
-	batch    int
 	cache    int
 	retain   int
 
@@ -134,7 +133,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "processor base seed (all results derive from it)")
 	fs.IntVar(&o.shards, "shards", 0, "queue/worker shards (0 = default)")
 	fs.IntVar(&o.queue, "queue", 0, "per-shard queue depth (0 = default)")
-	fs.IntVar(&o.batch, "batch", 0, "max jobs per Submit batch (0 = default)")
+	fs.Int("batch", 0, "deprecated and ignored: each shard runs one job at a time")
 	fs.IntVar(&o.cache, "cache", 0, "result-cache entries (0 = default, negative disables)")
 	fs.IntVar(&o.retain, "retain", 0, "settled job records kept for lookup (0 = default, negative keeps all)")
 	fs.StringVar(&o.role, "role", "standalone", "node role: standalone, coordinator, or worker")
@@ -175,7 +174,6 @@ func newService(o options, jobs *journal.Journal, tenants *tenant.Registry) (*se
 	return serve.New(proc, serve.Config{
 		Shards:     o.shards,
 		QueueDepth: o.queue,
-		BatchSize:  o.batch,
 		CacheSize:  o.cache,
 		RetainJobs: o.retain,
 		Journal:    jobs,

@@ -90,7 +90,7 @@ func TestChaosCoordinatorDeathMidQueue(t *testing.T) {
 			}
 			// Workers outlive the coordinator crash, exactly like real
 			// quditd workers whose coordinator dies.
-			wcfg := serve.Config{Shards: 1, BatchSize: 1, QueueDepth: 32}
+			wcfg := serve.Config{Shards: 1, QueueDepth: 32}
 			w1 := newTestWorker(t, 1, wcfg)
 			w2 := newTestWorker(t, 1, wcfg)
 
@@ -226,7 +226,7 @@ func TestChaosResizeMidSweep(t *testing.T) {
 			refAgg, _ := json.Marshal(refView.Aggregate)
 
 			// The fleet under chaos: two slow workers, resize mid-sweep.
-			f := newFleet(t, serve.Config{Shards: 1, BatchSize: 1}, "w1", "w2")
+			f := newFleet(t, serve.Config{Shards: 1}, "w1", "w2")
 			mgr, err := experiment.NewManager(f.coord, experiment.Config{Parallel: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -252,7 +252,7 @@ func TestChaosResizeMidSweep(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			// ...then resize: w3 joins, w1 drains out.
-			w3 := newTestWorker(t, 1, serve.Config{Shards: 1, BatchSize: 1})
+			w3 := newTestWorker(t, 1, serve.Config{Shards: 1})
 			f.coord.Register("w3", w3.ts.URL)
 			if _, _, err := f.coord.Drain("w1"); err != nil {
 				t.Fatal(err)
@@ -394,7 +394,7 @@ func TestChaosHeartbeatExpiryUnderDelay(t *testing.T) {
 // result bytes identical to an undisturbed standalone run — one
 // subscription surviving the failover end to end.
 func TestChaosSSEWatchSurvivesRequeue(t *testing.T) {
-	cfg := serve.Config{Shards: 1, QueueDepth: 16, BatchSize: 1}
+	cfg := serve.Config{Shards: 1, QueueDepth: 16}
 	f := newFleet(t, cfg, "w1", "w2")
 	// A blocker pins w2's only shard so the watched job stays queued
 	// there long enough for the stream cut to land mid-wait.
@@ -515,7 +515,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		return c
 	}
 	coord1 := mk()
-	w1 := newTestWorker(t, 1, serve.Config{Shards: 1, BatchSize: 1})
+	w1 := newTestWorker(t, 1, serve.Config{Shards: 1})
 	coord1.Register("w1", w1.ts.URL)
 	ts1 := httptest.NewServer(Handler(coord1))
 
@@ -710,7 +710,7 @@ func TestChaosProcessFleet(t *testing.T) {
 		"-checkpoint", ckpt, "-heartbeat-ttl", "2s"}
 	workerArgs := func(addr, id string) []string {
 		return []string{"-addr", addr, "-role", "worker", "-coordinator", "http://" + pc,
-			"-id", id, "-heartbeat", "200ms", "-seed", "1", "-shards", "1", "-batch", "1"}
+			"-id", id, "-heartbeat", "200ms", "-seed", "1", "-shards", "1"}
 	}
 	if err := fl.Start("coord", coordArgs...); err != nil {
 		t.Fatal(err)

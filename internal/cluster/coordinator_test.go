@@ -303,8 +303,8 @@ func TestSubmitNoWorkers(t *testing.T) {
 // spills to the ring successor instead of bouncing with 429, and the
 // spill counter records it.
 func TestSpillOnBackpressure(t *testing.T) {
-	// Tiny queue on every worker: one shard, depth 1, no batching.
-	cfg := serve.Config{Shards: 1, QueueDepth: 1, BatchSize: 1}
+	// Tiny queue on every worker: one shard, depth 1.
+	cfg := serve.Config{Shards: 1, QueueDepth: 1}
 	f := newFleet(t, cfg, "w1", "w2")
 	// Slow distinct jobs all owned by w1, precomputed so the submit
 	// loop outpaces the drain: the overflow must land on w2, and once
@@ -350,7 +350,7 @@ func TestSpillOnBackpressure(t *testing.T) {
 // TestCancelThroughCoordinator: cancelling via the coordinator reaches
 // the owning worker and the settled record reports cancelled.
 func TestCancelThroughCoordinator(t *testing.T) {
-	cfg := serve.Config{Shards: 1, QueueDepth: 8, BatchSize: 1}
+	cfg := serve.Config{Shards: 1, QueueDepth: 8}
 	f := newFleet(t, cfg, "w1")
 	// A job to cancel, stuck in the queue behind a slow blocker (the
 	// blocker's shot count keeps the single shard busy long enough for

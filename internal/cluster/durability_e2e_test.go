@@ -82,10 +82,9 @@ func TestDurabilityStandaloneKill9(t *testing.T) {
 			addr := durabilityAddr(t)
 			base := "http://" + addr
 			jdir := filepath.Join(t.TempDir(), "journal")
-			// One shard, batch 1: jobs run strictly one at a time, so a
-			// kill a few milliseconds after submission lands mid-queue.
-			args := []string{"-addr", addr, "-seed", "1", "-journal", jdir,
-				"-shards", "1", "-batch", "1"}
+			// One shard: jobs run strictly one at a time, so a kill a
+			// few milliseconds after submission lands mid-queue.
+			args := []string{"-addr", addr, "-seed", "1", "-journal", jdir, "-shards", "1"}
 
 			if err := fl.Start("node", args...); err != nil {
 				t.Fatal(err)

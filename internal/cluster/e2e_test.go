@@ -71,9 +71,9 @@ func TestFleetMatchesStandalone(t *testing.T) {
 //   - re-submission after the kill settles from cache without
 //     re-simulation.
 func TestWorkerLossRequeueAndCacheIdempotency(t *testing.T) {
-	// One shard, no batching, modest queue: jobs on the doomed worker
+	// One shard, modest queue: jobs on the doomed worker
 	// stay queued long enough to be killed mid-queue.
-	cfg := serve.Config{Shards: 1, QueueDepth: 32, BatchSize: 1}
+	cfg := serve.Config{Shards: 1, QueueDepth: 32}
 	f := newFleet(t, cfg, "w1", "w2")
 	survivor, doomed := f.workers["w1"], f.workers["w2"]
 
@@ -248,7 +248,7 @@ func TestEventStreamEndToEnd(t *testing.T) {
 // queued: the coordinator must collect every result before releasing
 // the worker, and the views must survive the worker's exit.
 func TestDrainCollectsResults(t *testing.T) {
-	cfg := serve.Config{Shards: 1, QueueDepth: 32, BatchSize: 2}
+	cfg := serve.Config{Shards: 1, QueueDepth: 32}
 	f := newFleet(t, cfg, "w1", "w2")
 
 	var ids []string

@@ -84,9 +84,9 @@ func TestRunJobNoWorkers(t *testing.T) {
 // context error surfaces immediately and the worker-side job is
 // cancelled rather than left simulating for nobody.
 func TestRunJobCancelReapsRemote(t *testing.T) {
-	// Single shard, batch 1: a long job parks in the worker queue where
+	// Single shard: a long job parks in the worker queue where
 	// cancellation settles it instantly.
-	cfg := serve.Config{Shards: 1, QueueDepth: 32, BatchSize: 1}
+	cfg := serve.Config{Shards: 1, QueueDepth: 32}
 	f := newFleet(t, cfg, "w1")
 
 	// Wedge the worker with a big uncached job via HTTP, then RunJob a

@@ -21,7 +21,6 @@ import (
 func blockedService(t *testing.T, cfg Config) (*Service, JobID, JobID) {
 	t.Helper()
 	cfg.Shards = 1
-	cfg.BatchSize = 1
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 8
 	}
@@ -142,7 +141,7 @@ func TestAwaitViewConcurrentWaitersSeeCancellation(t *testing.T) {
 // terminal view, and once retention prunes the record the same URL is
 // a 404.
 func TestHTTPLongPollWaitAndPrune(t *testing.T) {
-	s := newTestService(t, Config{Shards: 1, BatchSize: 1, QueueDepth: 8, RetainJobs: 1, CacheSize: -1})
+	s := newTestService(t, Config{Shards: 1, QueueDepth: 8, RetainJobs: 1, CacheSize: -1})
 	ts := newHandlerServer(t, s)
 
 	req := ghzRequest()
@@ -181,7 +180,7 @@ func TestHTTPLongPollWaitAndPrune(t *testing.T) {
 // client releases server-side without settling the job, and the job
 // remains pollable.
 func TestHTTPLongPollClientDisconnect(t *testing.T) {
-	s := newTestService(t, Config{Shards: 1, BatchSize: 1, QueueDepth: 8})
+	s := newTestService(t, Config{Shards: 1, QueueDepth: 8})
 	ts := newHandlerServer(t, s)
 	req := ghzRequest()
 	req.Shots = 100000

@@ -11,10 +11,8 @@ import (
 
 // Event is one job state transition, recorded on the job and streamed
 // to subscribers. Events are the push-mode alternative to ?wait=1
-// long-polling: a client that subscribes once sees every transition —
-// including partial completions of a drained batch, since each job
-// settles (and publishes) individually as its result lands — without
-// re-requesting.
+// long-polling: a client that subscribes once sees every transition,
+// each published the moment the job enters it, without re-requesting.
 type Event struct {
 	// Seq numbers the event within its job, starting at 0. It doubles
 	// as the SSE event id, so reconnecting clients can resume with

@@ -179,7 +179,7 @@ func TestEventsHTTPStream(t *testing.T) {
 // TestInflightShotsGauge: the gauge rises with a running job's shot
 // budget and returns to zero on settlement.
 func TestInflightShotsGauge(t *testing.T) {
-	svc := newTestService(t, Config{Shards: 1, BatchSize: 1})
+	svc := newTestService(t, Config{Shards: 1})
 	if got := svc.Stats().InflightShots; got != 0 {
 		t.Fatalf("idle inflight shots = %d", got)
 	}

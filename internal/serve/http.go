@@ -16,8 +16,9 @@ import (
 )
 
 // Retry-After hints for the two 429 classes: queue backpressure
-// clears on the next batch drain, a quota breach only as the tenant's
-// own work settles, so the quota hint is longer.
+// clears as soon as the shard's worker pops its next job, a quota
+// breach only as the tenant's own work settles, so the quota hint is
+// longer.
 const (
 	// RetryAfterQueueFull is the backoff hint sent with queue_full.
 	RetryAfterQueueFull = time.Second

@@ -71,7 +71,7 @@ func TestJournalReplayRestoresUnsettledJobs(t *testing.T) {
 	dir := t.TempDir()
 	jl, _ := openJournal(t, dir)
 
-	// Shards=1, batch=1, and no worker drain opportunity: enqueue with
+	// Shards=1 and no worker drain opportunity: enqueue with
 	// the worker wedged behind a slow first job is overkill here —
 	// instead, journal admissions and then simulate a crash by simply
 	// abandoning the service without Close (its workers may settle some
@@ -203,9 +203,8 @@ func TestJournalReplaySkipsSettledBetweenSnapshotAndCrash(t *testing.T) {
 
 // TestJournalReplayDuplicatesAbsorbedByCache replays two admissions of
 // the same content address and checks only one simulation happens: the
-// second collapses onto the result cache (or in-batch dedupe), the
-// mechanism that also absorbs a job whose settle record was lost to a
-// compaction race.
+// second collapses onto the result cache, the mechanism that also
+// absorbs a job whose settle record was lost to a compaction race.
 func TestJournalReplayDuplicatesAbsorbedByCache(t *testing.T) {
 	dir := t.TempDir()
 	jl, _ := openJournal(t, dir)
@@ -293,7 +292,7 @@ func TestJournalCompactionAndLagGauges(t *testing.T) {
 func TestJournalAdmissionFullQueueNotJournaled(t *testing.T) {
 	dir := t.TempDir()
 	jl, _ := openJournal(t, dir)
-	s, err := New(testProcessor(t), Config{Journal: jl, Shards: 1, QueueDepth: 1, BatchSize: 1})
+	s, err := New(testProcessor(t), Config{Journal: jl, Shards: 1, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

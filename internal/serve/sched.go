@@ -143,16 +143,6 @@ func (q *shardQueue) pop() (*job, bool) {
 	return q.popLocked(), true
 }
 
-// tryPop is the non-blocking pop used for batch collection.
-func (q *shardQueue) tryPop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.depth == 0 {
-		return nil, false
-	}
-	return q.popLocked(), true
-}
-
 // popLocked dequeues one job: highest non-empty priority class first,
 // DRR among that class's tenants. Callers hold q.mu and have checked
 // depth > 0.

@@ -36,6 +36,16 @@ func qJob(acct *tenant.Account, i int) *job {
 	return &job{id: JobID(fmt.Sprintf("%s-%d", acct.Name(), i)), acct: acct}
 }
 
+// tryPop pops one job without blocking; ok is false on an empty queue.
+func (q *shardQueue) tryPop() (*job, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.depth == 0 {
+		return nil, false
+	}
+	return q.popLocked(), true
+}
+
 // drain pops up to n jobs without blocking, returning owner names in
 // pop order.
 func drain(t *testing.T, q *shardQueue, n int) []string {

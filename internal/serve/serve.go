@@ -7,7 +7,7 @@
 // A Service owns a bounded, sharded job queue in front of one
 // Processor. Submissions enter through Enqueue (or EnqueueAs with a
 // tenant account), are assigned to a shard by circuit fingerprint,
-// and are drained in batches through Processor.Submit by one worker
+// and run one at a time through Processor.SubmitOne by one worker
 // goroutine per shard. Each shard schedules across tenants by
 // weighted deficit round-robin within priority classes (see
 // shardQueue): admission quotas and fair dequeue shares are enforced
@@ -66,8 +66,8 @@ var (
 type JobState int
 
 const (
-	// Queued means the job sits in its shard's queue (or is being
-	// batch-collected) and has not started executing.
+	// Queued means the job sits in its shard's queue and has not
+	// started executing.
 	Queued JobState = iota
 	// Running means a shard worker is executing the job.
 	Running
@@ -112,9 +112,6 @@ type Config struct {
 	// QueueDepth bounds each shard's queue; Enqueue returns
 	// ErrQueueFull beyond it rather than blocking. Default 64.
 	QueueDepth int
-	// BatchSize caps how many queued jobs a worker drains into one
-	// Processor.Submit call. Default 8.
-	BatchSize int
 	// CacheSize bounds the result cache (LRU entries). Zero selects
 	// the default 256; negative disables caching.
 	CacheSize int
@@ -148,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
 	}
 	switch {
 	case c.CacheSize == 0:
@@ -222,10 +216,9 @@ type Stats struct {
 	// runs absorbed into chained kernels.
 	PlanCacheFusedPlans uint64 `json:"plan_cache_fused_plans"`
 	PlanCacheFusedOps   uint64 `json:"plan_cache_fused_ops"`
-	// Shards, QueueDepth, and BatchSize echo the resolved Config.
+	// Shards and QueueDepth echo the resolved Config.
 	Shards     int `json:"shards"`
 	QueueDepth int `json:"queue_depth"`
-	BatchSize  int `json:"batch_size"`
 	// ShardDepths is the live queued-job count of each shard, in shard
 	// order — the gauge that exposes hot shards (also served as the
 	// queue_depth{shard="N"} series on /metrics).
@@ -640,7 +633,6 @@ func (s *Service) Stats() Stats {
 		PlanCacheFusedOps:   fusedOps,
 		Shards:              s.cfg.Shards,
 		QueueDepth:          s.cfg.QueueDepth,
-		BatchSize:           s.cfg.BatchSize,
 		ShardDepths:         depths,
 		Tenants:             s.tenantUsage(),
 		Journal:             js,
@@ -751,10 +743,9 @@ func (s *Service) retain(id JobID) {
 	}
 }
 
-// worker drains one shard: it blocks for the first job, greedily
-// collects up to BatchSize-1 more without blocking (each dequeue
-// scheduled by the shard's weighted round-robin), and runs the batch
-// through Processor.Submit.
+// worker drains one shard, one job at a time: each pop is the shard's
+// weighted round-robin pick, and the job settles before the next pop,
+// so a queued job reports Queued until its own run begins.
 func (s *Service) worker(sh *shardQueue) {
 	defer s.wg.Done()
 	for {
@@ -762,136 +753,46 @@ func (s *Service) worker(sh *shardQueue) {
 		if !ok {
 			return
 		}
-		batch := []*job{j}
-		for len(batch) < s.cfg.BatchSize {
-			next, ok := sh.tryPop()
-			if !ok {
-				break
-			}
-			batch = append(batch, next)
-		}
-		s.runBatch(batch)
+		s.run(j)
 	}
 }
 
-// runBatch executes one drained batch: cancelled jobs are skipped,
-// cache hits settle instantly, in-batch duplicates collapse onto one
-// representative run, and the remainder goes through Processor.Submit
-// in a single call (falling back to per-job submission on error, so
-// one failing job cannot doom its batchmates).
-func (s *Service) runBatch(batch []*job) {
-	// runItem pairs a begun job with the circuit/options snapshot taken
-	// under its mutex: finish nils those fields on settlement, so all
-	// post-begin access goes through the snapshot.
-	type runItem struct {
-		j    *job
-		circ *circuit.Circuit
-		opts []core.RunOption
+// run executes one popped job. A job cancelled while queued has already
+// settled and is skipped; one whose context has ended settles
+// Cancelled; one an identical job ahead of it on the shard already ran
+// settles from the cache; the rest run through Processor.SubmitOne and
+// fill the cache.
+func (s *Service) run(j *job) {
+	circ, opts, ok := s.begin(j)
+	if !ok {
+		return
 	}
-	reps := make(map[cacheKey]runItem)
-	dups := make(map[cacheKey][]runItem)
-	var run []runItem
-	for _, j := range batch {
-		circ, opts, ok := s.begin(j)
-		if !ok {
-			continue // settled while queued (cancelled)
-		}
-		if err := j.ctx.Err(); err != nil {
-			s.finish(j, core.Result{}, err, false)
-			continue
-		}
-		if res, ok := s.cache.peek(j.key); ok {
-			s.finish(j, res, nil, true)
-			continue
-		}
-		it := runItem{j: j, circ: circ, opts: opts}
-		if _, ok := reps[j.key]; ok {
-			dups[j.key] = append(dups[j.key], it)
-			continue
-		}
-		reps[j.key] = it
-		run = append(run, it)
+	if err := j.ctx.Err(); err != nil {
+		s.finish(j, core.Result{}, err, false)
+		return
 	}
-
-	withCtx := func(it runItem) core.Job {
-		// A trajectory pool as wide as the node (core's own default is
-		// one worker) comes first, so an explicit workers in the job's
-		// options still wins; the width changes no result byte.
-		opts := make([]core.RunOption, 0, len(it.opts)+2)
-		opts = append(opts, core.WithWorkers(runtime.GOMAXPROCS(0)))
-		opts = append(opts, it.opts...)
-		opts = append(opts, core.WithContext(it.j.ctx))
-		return core.NewJob(it.circ, opts...)
+	if res, ok := s.cache.peek(j.key); ok {
+		s.finish(j, res, nil, true)
+		return
 	}
-
-	if len(run) > 0 {
-		coreJobs := make([]core.Job, len(run))
-		for i, it := range run {
-			coreJobs[i] = withCtx(it)
+	// A trajectory pool as wide as the node (core's own default is one
+	// worker) comes first, so an explicit workers in the job's options
+	// still wins; the width changes no result byte.
+	all := make([]core.RunOption, 0, len(opts)+2)
+	all = append(all, core.WithWorkers(runtime.GOMAXPROCS(0)))
+	all = append(all, opts...)
+	all = append(all, core.WithContext(j.ctx))
+	res, err := s.proc.SubmitOne(circ, all...)
+	if err != nil {
+		// SubmitOne names the failing job's position in its one-job
+		// batch; the job's error is the cause alone.
+		var je *core.JobError
+		if errors.As(err, &je) {
+			err = je.Err
 		}
-		// Submit stops at the first failing job, returning the prefix
-		// of completed Results plus the failing index (core.JobError).
-		// Settle the prefix, fail that one job, and resume after it —
-		// no batchmate is ever simulated twice.
-		remaining := run
-		jobsLeft := coreJobs
-		for len(remaining) > 0 {
-			results, err := s.proc.Submit(jobsLeft...)
-			for i, res := range results {
-				s.cache.put(remaining[i].j.key, res)
-				s.finish(remaining[i].j, res, nil, false)
-			}
-			if err == nil {
-				break
-			}
-			var je *core.JobError
-			if !errors.As(err, &je) || je.Index >= len(remaining) {
-				// No index attribution available: fail whatever the
-				// prefix didn't cover.
-				for _, it := range remaining[len(results):] {
-					s.finish(it.j, core.Result{}, err, false)
-				}
-				break
-			}
-			s.finish(remaining[je.Index].j, core.Result{}, je.Err, false)
-			remaining = remaining[je.Index+1:]
-			jobsLeft = jobsLeft[je.Index+1:]
-		}
+		s.finish(j, core.Result{}, err, false)
+		return
 	}
-
-	for key, waiting := range dups {
-		rep := reps[key].j
-		rep.mu.Lock()
-		repRes, repErr := rep.res, rep.err
-		rep.mu.Unlock()
-		for _, d := range waiting {
-			// A duplicate's own context was never in the representative
-			// run; honor a cancellation that arrived meanwhile instead
-			// of settling the job Done after an acknowledged cancel.
-			if err := d.j.ctx.Err(); err != nil {
-				s.finish(d.j, core.Result{}, err, false)
-				continue
-			}
-			if repErr != nil {
-				// The representative failed or was cancelled; its
-				// outcome is not this job's. Run the duplicate on its
-				// own context instead of inheriting it.
-				rs, jerr := s.proc.Submit(withCtx(d))
-				if jerr != nil {
-					s.finish(d.j, core.Result{}, jerr, false)
-					continue
-				}
-				s.cache.put(d.j.key, rs[0])
-				s.finish(d.j, rs[0], nil, false)
-				continue
-			}
-			if res, ok := s.cache.peek(d.j.key); ok {
-				s.finish(d.j, res, nil, true)
-			} else {
-				// Cache disabled: share the representative's result but
-				// don't claim a cache hit that no cache served.
-				s.finish(d.j, repRes, nil, false)
-			}
-		}
-	}
+	s.cache.put(j.key, res)
+	s.finish(j, res, nil, false)
 }

@@ -101,7 +101,7 @@ func TestServiceStatusLifecycleAndErrors(t *testing.T) {
 	}
 
 	// A failing job (statevector backend rejects noise) settles Failed
-	// without disturbing its batchmates.
+	// without disturbing the job queued behind it.
 	badID, err := s.Enqueue(ghz(t), core.WithNoise(noise.Model{Damping: 0.1}))
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestServiceStatusLifecycleAndErrors(t *testing.T) {
 		t.Error("noisy statevector job did not fail")
 	}
 	if _, err := s.Await(context.Background(), okID); err != nil {
-		t.Errorf("batchmate failed too: %v", err)
+		t.Errorf("job behind the failing one failed too: %v", err)
 	}
 	st, _ := s.Status(badID)
 	if st.State != Failed || st.Err == nil {
@@ -123,9 +123,9 @@ func TestServiceStatusLifecycleAndErrors(t *testing.T) {
 }
 
 func TestServiceCancelQueuedJob(t *testing.T) {
-	// One shard, one-deep batch: occupy the worker with a long noisy
-	// trajectory job, so the next job is reliably still queued.
-	s := newTestService(t, Config{Shards: 1, BatchSize: 1, CacheSize: -1})
+	// One shard: occupy the worker with a long noisy trajectory job, so
+	// the next job is reliably still queued.
+	s := newTestService(t, Config{Shards: 1, CacheSize: -1})
 	model := noise.Model{Damping: 1e-3, Dephasing: 1e-3}
 	longID, err := s.Enqueue(ghz(t),
 		core.WithBackend(core.Trajectory), core.WithNoise(model), core.WithShots(500_000))
@@ -163,7 +163,7 @@ func TestServiceCancelQueuedJob(t *testing.T) {
 }
 
 func TestServiceQueueFullBackpressure(t *testing.T) {
-	s := newTestService(t, Config{Shards: 1, QueueDepth: 1, BatchSize: 1, CacheSize: -1})
+	s := newTestService(t, Config{Shards: 1, QueueDepth: 1, CacheSize: -1})
 	model := noise.Model{Damping: 1e-3}
 	// Occupy the single worker...
 	longID, err := s.Enqueue(ghz(t),
@@ -171,8 +171,8 @@ func TestServiceQueueFullBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ...then fill the one-slot queue. Distinct circuits avoid the cache
-	// and in-batch dedupe; eventually the queue must push back.
+	// ...then fill the one-slot queue. Distinct circuits avoid the
+	// cache; eventually the queue must push back.
 	sawFull := false
 	var ids []JobID
 	for k := 0; k < 50 && !sawFull; k++ {
@@ -228,7 +228,7 @@ func TestServiceCloseRejectsNewWork(t *testing.T) {
 
 func TestEnqueueHonorsCallerContext(t *testing.T) {
 	// Park the single worker so the caller-context job stays queued.
-	s := newTestService(t, Config{Shards: 1, BatchSize: 1, CacheSize: -1})
+	s := newTestService(t, Config{Shards: 1, CacheSize: -1})
 	model := noise.Model{Damping: 1e-3}
 	longID, err := s.Enqueue(ghz(t),
 		core.WithBackend(core.Trajectory), core.WithNoise(model), core.WithShots(500_000))
@@ -307,13 +307,13 @@ func TestServiceJobRetentionBound(t *testing.T) {
 	}
 }
 
-func TestServiceBatchDedupe(t *testing.T) {
-	// One shard with a wide batch: identical submissions drained in one
-	// batch collapse onto a single simulation.
-	s := newTestService(t, Config{Shards: 1, BatchSize: 8})
+func TestQueuedDuplicatesSettleFromCache(t *testing.T) {
+	// One shard: identical submissions queued behind a running job
+	// collapse onto a single simulation, the rest settling from the
+	// cache when the worker pops them.
+	s := newTestService(t, Config{Shards: 1})
 	model := noise.Model{Damping: 1e-4}
-	// Park a long job so the duplicates pile up in the queue and drain
-	// together.
+	// Park a long job so the duplicates pile up in the queue behind it.
 	longID, err := s.Enqueue(shiftCircuit(t, 9),
 		core.WithBackend(core.Trajectory), core.WithNoise(model), core.WithShots(20_000))
 	if err != nil {
@@ -346,9 +346,9 @@ func TestServiceBatchDedupe(t *testing.T) {
 	if stats.Completed != uint64(len(ids))+1 {
 		t.Errorf("completed = %d", stats.Completed)
 	}
-	// At most two cold simulations of the GHZ circuit can have happened
-	// (the first enqueue may or may not race into its own batch); the
-	// rest must be hits.
+	// The first duplicate the worker pops simulates; each later one
+	// hits the cache when popped (or at Enqueue, if the first already
+	// ran). The bound keeps one hit of slack.
 	if stats.CacheHits < uint64(len(ids))-2 {
 		t.Errorf("cache hits = %d, want >= %d (stats %+v)",
 			stats.CacheHits, len(ids)-2, stats)

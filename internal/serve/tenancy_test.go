@@ -226,7 +226,7 @@ func TestMetricsEndpointPerTenant(t *testing.T) {
 func TestPriorityNeverPreemptsRunning(t *testing.T) {
 	reg := schedRegistry(t) // light: priority 0; vip: priority 10
 	light, vip := mustAccount(t, reg, "light"), mustAccount(t, reg, "vip")
-	s := newTestService(t, Config{Shards: 1, BatchSize: 1, CacheSize: -1, Tenants: reg})
+	s := newTestService(t, Config{Shards: 1, CacheSize: -1, Tenants: reg})
 
 	// A slow low-priority job occupies the single worker...
 	running, err := s.EnqueueAs(light, ghz(t), core.WithShots(1<<16), core.WithSeed(7))

@@ -58,7 +58,7 @@ func widestPool(t *testing.T, s *Service, id JobID) int {
 // reaches core fails here even though results are width-invariant.
 func TestServeLendsEveryCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	s := newTestService(t, Config{Shards: 1, BatchSize: 1, CacheSize: -1})
+	s := newTestService(t, Config{Shards: 1, CacheSize: -1})
 	// Long enough for many samples, at 64 stripes: the pool is never
 	// clamped below the four workers.
 	long := []core.RunOption{
@@ -116,9 +116,9 @@ func TestLoneAndLoadedJobsMatchSubmitOne(t *testing.T) {
 	}
 	want := encode(ref)
 
-	// One shard and batches of one, with the result cache off: every
+	// One shard, with the result cache off: every
 	// submission simulates, alone or behind the others.
-	s := newTestService(t, Config{Shards: 1, BatchSize: 1, CacheSize: -1})
+	s := newTestService(t, Config{Shards: 1, CacheSize: -1})
 	check := func(id JobID, err error) {
 		if err != nil {
 			t.Error(err)
