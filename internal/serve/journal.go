@@ -73,8 +73,8 @@ type JournalStats struct {
 // settle synchronously (cache hit, already-cancelled context) journal
 // nothing — the caller observes the terminal state in the same call.
 // With no journal configured it behaves exactly like Enqueue. A journal
-// write failure rejects the submission: an admission that cannot be
-// made durable is refused, not half-accepted. A nil acct selects the
+// write failure rejects the submission with ErrNotDurable: an
+// admission that cannot be made durable is refused, not half-accepted. A nil acct selects the
 // service's anonymous account; the tenant's name rides on the admit
 // record so replay restores per-tenant accounting.
 func (s *Service) EnqueueJournaled(acct *tenant.Account, payload []byte, c *circuit.Circuit, opts ...core.RunOption) (JobID, error) {
@@ -104,7 +104,7 @@ func (s *Service) admitJournaledLocked(sh *shardQueue, j *job, payload []byte) (
 		s.mu.Unlock()
 		j.acct.CancelAdmission(j.shots)
 		j.cancel()
-		return "", fmt.Errorf("serve: journaling admission: %w", err)
+		return "", fmt.Errorf("%w: journaling admission: %w", ErrNotDurable, err)
 	}
 	s.journaled[id] = journaledJob{payload: payload, tenant: rec.Tenant}
 	s.queuedGauge.Add(1)

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"quditkit/internal/core"
+	"quditkit/internal/httpapi"
 	"quditkit/internal/journal"
 	"quditkit/internal/metrics"
 	"quditkit/internal/noise"
@@ -85,6 +89,15 @@ func TestJournalReplayRestoresUnsettledJobs(t *testing.T) {
 	}
 	if _, err := s.Await(context.Background(), id2); err != nil {
 		t.Fatal(err)
+	}
+	// A job's settle record is appended after its waiters wake; the
+	// lag gauge drops once it has landed.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Journal.Lag != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("settle records never landed: %+v", s.Stats().Journal)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Reopen: both jobs settled, so replay restores nothing but the
@@ -377,5 +390,31 @@ func TestJournalFailuresRender(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "\nquditd_journal_failures_total 1\n") {
 		t.Fatalf("/metrics lacks the failure counter:\n%s", out.String())
+	}
+}
+
+// TestJournalClosedAnswers503: a submission the journal cannot record
+// is the server's fault, so POST /v1/jobs answers 503 unavailable (a
+// transient code clients and coordinators retry elsewhere), not 400,
+// and nothing is left admitted.
+func TestJournalClosedAnswers503(t *testing.T) {
+	jl, _ := openJournal(t, t.TempDir())
+	s := newTestService(t, Config{Journal: jl, Shards: 1})
+	url := newHandlerServer(t, s)
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(wirePayload(1, 16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	det, ok := httpapi.Decode(body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !ok || det.Code != httpapi.CodeUnavailable {
+		t.Fatalf("status %d body %s, want 503 %s", resp.StatusCode, body, httpapi.CodeUnavailable)
+	}
+	if st := s.Stats(); st.Enqueued != 0 || st.Queued != 0 || st.Journal.Lag != 0 {
+		t.Fatalf("refused submission left state behind: %+v", st)
 	}
 }

@@ -60,6 +60,11 @@ var (
 	ErrUnknownJob = errors.New("serve: unknown job id")
 	// ErrFinished is returned by CancelJob for jobs already settled.
 	ErrFinished = errors.New("serve: job already finished")
+	// ErrNotDurable wraps a journal failure that refused an admission
+	// (the journal is closed, broken, or its disk failed). The fault is
+	// the server's, so the HTTP layer answers 503: a retry later, or on
+	// another node, can succeed.
+	ErrNotDurable = errors.New("serve: admission not durable")
 )
 
 // JobState is one stop in a job's lifecycle.
@@ -675,7 +680,13 @@ func (s *Service) job(id JobID) (*job, error) {
 
 // finish settles a job exactly once, releasing its context and
 // bumping the terminal-state counter. Later calls are no-ops, which is
-// what resolves cancel-vs-complete races.
+// what resolves cancel-vs-complete races. Every gauge and counter,
+// the service's and the tenant's, moves before the terminal event is
+// published and j.done closes, so a waiter or subscriber that wakes
+// reads them already settled. The settle record is journaled after
+// the wake-up: losing it costs one deterministic re-run after a
+// crash, and an fsync ahead of the wake-up would delay every
+// journaled response.
 func (s *Service) finish(j *job, res core.Result, err error, cached bool) {
 	j.mu.Lock()
 	if j.state.settled() {
@@ -687,13 +698,20 @@ func (s *Service) finish(j *job, res core.Result, err error, cached bool) {
 	// Nothing reads the circuit or options after settlement; dropping
 	// them keeps retained job records from pinning gate unitaries.
 	j.circ, j.opts = nil, nil
+	var oc tenant.Outcome
 	switch {
 	case err == nil:
 		j.state = Done
+		s.completed.Add(1)
+		oc = tenant.Completed
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.state = Cancelled
+		s.cancelled.Add(1)
+		oc = tenant.Cancelled
 	default:
 		j.state = Failed
+		s.failed.Add(1)
+		oc = tenant.Failed
 	}
 	terminal := j.state
 	switch prev {
@@ -703,25 +721,13 @@ func (s *Service) finish(j *job, res core.Result, err error, cached bool) {
 		s.runningGauge.Add(-1)
 		s.inflightShots.Add(-int64(j.shots))
 	}
+	if j.acct != nil {
+		j.acct.JobSettled(prev == Running, j.reserved, j.shots, oc)
+	}
 	j.publishLocked(j.terminalEventLocked())
 	close(j.done)
 	j.mu.Unlock()
 	j.cancel()
-	var oc tenant.Outcome
-	switch terminal {
-	case Done:
-		s.completed.Add(1)
-		oc = tenant.Completed
-	case Cancelled:
-		s.cancelled.Add(1)
-		oc = tenant.Cancelled
-	default:
-		s.failed.Add(1)
-		oc = tenant.Failed
-	}
-	if j.acct != nil {
-		j.acct.JobSettled(prev == Running, j.reserved, j.shots, oc)
-	}
 	s.journalSettle(j.id, terminal)
 	s.retain(j.id)
 }
