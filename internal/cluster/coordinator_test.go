@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"quditkit/internal/core"
+	"quditkit/internal/journal"
 	"quditkit/internal/serve"
 )
 
@@ -345,6 +346,39 @@ func TestSpillOnBackpressure(t *testing.T) {
 		t.Fatal("spill target never received a job")
 	}
 	_ = sawBackpressure // not guaranteed on fast machines; spills are
+}
+
+// TestSpillPastBrokenJournal: a worker whose journal cannot record an
+// admission answers 503, a transient failure, so the coordinator runs
+// the job on the next worker on the ring instead of failing it.
+func TestSpillPastBrokenJournal(t *testing.T) {
+	f := newFleet(t, serve.Config{})
+	jl, _, err := journal.Open(t.TempDir(), "jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := newTestWorker(t, 1, serve.Config{Shards: 1, Journal: jl})
+	healthy := newTestWorker(t, 1, serve.Config{Shards: 1})
+	f.workers["w1"], f.workers["w2"] = broken, healthy
+	f.coord.Register("w1", broken.ts.URL)
+	f.coord.Register("w2", healthy.ts.URL)
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := f.bodyOwnedBy(t, "w1", 64, 4000)
+	view, status := postJob(t, f.ts.URL, body, true)
+	if status != http.StatusOK || view.State != "done" {
+		t.Fatalf("status %d view %+v, want 200 done", status, view)
+	}
+	if view.Worker != "w2" {
+		t.Fatalf("job ran on %q, want w2", view.Worker)
+	}
+	if n := healthy.svc.Stats().Enqueued; n != 1 {
+		t.Fatalf("healthy worker enqueued %d jobs, want 1", n)
+	}
+	if n := broken.svc.Stats().Enqueued; n != 0 {
+		t.Fatalf("broken worker enqueued %d jobs, want 0", n)
+	}
 }
 
 // TestCancelThroughCoordinator: cancelling via the coordinator reaches

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -54,7 +53,7 @@ func Handler(c *Coordinator) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Stats())
+		httpapi.WriteJSON(w, http.StatusOK, c.Stats())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		var b metrics.Buffer
@@ -66,24 +65,6 @@ func Handler(c *Coordinator) http.Handler {
 	mux.HandleFunc("POST /v1/cluster/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/cluster/deregister", c.handleDeregister)
 	return mux
-}
-
-// authenticate resolves the request's tenant account. Without a
-// registry every caller shares the coordinator's anonymous account;
-// with one, a missing or unknown X-API-Key answers 401 and returns ok
-// false (the response is already written).
-func (c *Coordinator) authenticate(w http.ResponseWriter, r *http.Request) (*tenant.Account, bool) {
-	reg := c.cfg.Tenants
-	if reg == nil {
-		return c.anon, true
-	}
-	acct, err := reg.Lookup(r.Header.Get("X-API-Key"))
-	if err != nil {
-		httpapi.WriteError(w, http.StatusUnauthorized, httpapi.CodeTenantUnknown,
-			"missing or unknown X-API-Key", 0)
-		return nil, false
-	}
-	return acct, true
 }
 
 // recordFor looks up a job record and verifies ownership: with a
@@ -130,7 +111,7 @@ func writeClusterError(w http.ResponseWriter, err error) {
 // burns no worker round-trip and the client sees one consistent 4xx
 // surface in both topologies.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	acct, ok := c.authenticate(w, r)
+	acct, ok := serve.Authenticate(w, r, c.cfg.Tenants, c.anon)
 	if !ok {
 		return
 	}
@@ -167,7 +148,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.dispatched.Add(1)
 
 	out := c.wrap(rec, view)
-	if wantWait(r) && !stateTerminal(out.State) {
+	if serve.WantWait(r) && !stateTerminal(out.State) {
 		settled, err := c.await(r.Context(), rec)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusGatewayTimeout, httpapi.CodeTimeout, err.Error(), 0)
@@ -179,7 +160,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if out.State == serve.Done.String() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, out)
+	httpapi.WriteJSON(w, status, out)
 }
 
 // await blocks until the record settles, following it across requeues:
@@ -243,7 +224,7 @@ func (c *Coordinator) await(ctx context.Context, rec *jobRecord) (*JobView, erro
 // round-trip (which is also what makes results of drained workers
 // durable).
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	acct, ok := c.authenticate(w, r)
+	acct, ok := serve.Authenticate(w, r, c.cfg.Tenants, c.anon)
 	if !ok {
 		return
 	}
@@ -252,18 +233,18 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeClusterError(w, err)
 		return
 	}
-	if wantWait(r) {
+	if serve.WantWait(r) {
 		view, err := c.await(r.Context(), rec)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusGatewayTimeout, httpapi.CodeTimeout, err.Error(), 0)
 			return
 		}
-		writeJSON(w, http.StatusOK, view)
+		httpapi.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	workerID, remoteID, requeues, settled := rec.snapshot()
 	if settled != nil {
-		writeJSON(w, http.StatusOK, settled)
+		httpapi.WriteJSON(w, http.StatusOK, settled)
 		return
 	}
 	url := c.workerURL(workerID)
@@ -279,7 +260,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 					if stateTerminal(view.State) {
 						c.settle(rec, c.wrap(rec, view))
 					}
-					writeJSON(w, http.StatusOK, c.wrap(rec, view))
+					httpapi.WriteJSON(w, http.StatusOK, c.wrap(rec, view))
 					return
 				}
 			}
@@ -289,11 +270,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	// for the monitor, then report the job as re-queued.
 	c.requeue(rec, workerID)
 	if _, _, _, settled := rec.snapshot(); settled != nil {
-		writeJSON(w, http.StatusOK, settled)
+		httpapi.WriteJSON(w, http.StatusOK, settled)
 		return
 	}
 	workerID, _, requeues, _ = rec.snapshot()
-	writeJSON(w, http.StatusOK, &JobView{
+	httpapi.WriteJSON(w, http.StatusOK, &JobView{
 		JobView:  serve.JobView{ID: rec.id, State: serve.Queued.String()},
 		Worker:   workerID,
 		Requeues: requeues,
@@ -302,7 +283,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleCancel proxies a cancellation to the owning worker.
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	acct, ok := c.authenticate(w, r)
+	acct, ok := serve.Authenticate(w, r, c.cfg.Tenants, c.anon)
 	if !ok {
 		return
 	}
@@ -349,7 +330,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if stateTerminal(view.State) {
 		c.settle(rec, c.wrap(rec, view))
 	}
-	writeJSON(w, http.StatusOK, c.wrap(rec, view))
+	httpapi.WriteJSON(w, http.StatusOK, c.wrap(rec, view))
 }
 
 // handleEvents relays the owning worker's SSE stream. If the stream
@@ -357,7 +338,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 // emits a "requeued" event naming the new worker, and re-attaches to
 // the replacement's stream (which replays from its own sequence 0).
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	acct, ok := c.authenticate(w, r)
+	acct, ok := serve.Authenticate(w, r, c.cfg.Tenants, c.anon)
 	if !ok {
 		return
 	}
@@ -478,7 +459,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Register(req.ID, strings.TrimSuffix(req.URL, "/"))
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	httpapi.WriteJSON(w, http.StatusOK, RegisterResponse{
 		HeartbeatTTLMS: c.cfg.HeartbeatTTL.Milliseconds(),
 		IntervalMS:     (c.cfg.HeartbeatTTL / 3).Milliseconds(),
 	})
@@ -497,7 +478,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("cluster: unknown worker %q", req.ID), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	httpapi.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // handleDeregister drains a worker: new dispatches stop immediately,
@@ -514,7 +495,7 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, DeregisterResponse{Collected: collected, Requeued: requeued})
+	httpapi.WriteJSON(w, http.StatusOK, DeregisterResponse{Collected: collected, Requeued: requeued})
 }
 
 // Drain removes a worker from routing, collects the unsettled results
@@ -583,25 +564,4 @@ func (c *Coordinator) getJSONWith(ctx context.Context, client *http.Client, url 
 		return fmt.Errorf("cluster: GET %s returned %d", url, resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// wantWait mirrors serve's ?wait parsing: bare ?wait or any truthy
-// value blocks; explicit falsy values select the async path.
-func wantWait(r *http.Request) bool {
-	if !r.URL.Query().Has("wait") {
-		return false
-	}
-	v := r.URL.Query().Get("wait")
-	if v == "" {
-		return true
-	}
-	b, err := strconv.ParseBool(v)
-	return err != nil || b
-}
-
-// writeJSON marshals v with an application/json content type.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

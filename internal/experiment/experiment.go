@@ -265,8 +265,8 @@ func (m *Manager) Close() {
 // returns the sweep ID to poll. Expansion errors (ErrBadSweep) reject
 // the whole sweep before anything runs. With a journal configured, the
 // accepted request is fsynced before any cell becomes runnable; a
-// journal write failure rejects the sweep rather than half-accepting
-// it.
+// journal write failure rejects the sweep with serve.ErrNotDurable
+// rather than half-accepting it.
 func (m *Manager) Submit(req SweepRequest) (string, error) {
 	return m.SubmitAs(nil, req)
 }
@@ -338,7 +338,7 @@ func (m *Manager) SubmitAs(acct *tenant.Account, req SweepRequest) (string, erro
 			acct.CancelSweepAdmission()
 			m.mu.Unlock()
 			cancel()
-			return "", fmt.Errorf("experiment: journaling sweep admission: %w", jerr)
+			return "", fmt.Errorf("%w: journaling sweep admission: %w", serve.ErrNotDurable, jerr)
 		}
 		m.journaled[s.id] = s
 	}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"quditkit/internal/httpapi"
 	"quditkit/internal/metrics"
@@ -44,7 +43,7 @@ func NewHandler(m *Manager, base http.Handler) http.Handler {
 	mux.HandleFunc("POST /v1/sweeps", m.handleSubmit)
 	mux.HandleFunc("GET /v1/sweeps/{id}", m.handleStatus)
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		acct, ok := m.authenticate(w, r)
+		acct, ok := serve.Authenticate(w, r, m.cfg.Tenants, m.anon)
 		if !ok {
 			return
 		}
@@ -172,24 +171,6 @@ func (m *Manager) WriteMetrics(b *metrics.Buffer) {
 	}
 }
 
-// authenticate resolves the request's tenant account. Without a
-// registry every caller shares the manager's anonymous account; with
-// one, a missing or unknown X-API-Key answers 401 and returns ok
-// false (the response is already written).
-func (m *Manager) authenticate(w http.ResponseWriter, r *http.Request) (*tenant.Account, bool) {
-	reg := m.cfg.Tenants
-	if reg == nil {
-		return m.anon, true
-	}
-	acct, err := reg.Lookup(r.Header.Get("X-API-Key"))
-	if err != nil {
-		httpapi.WriteError(w, http.StatusUnauthorized, httpapi.CodeTenantUnknown,
-			"missing or unknown X-API-Key", 0)
-		return nil, false
-	}
-	return acct, true
-}
-
 // checkOwner verifies the sweep exists and belongs to acct. With a
 // registry configured, a foreign sweep is indistinguishable from an
 // unknown one (ErrUnknownSweep), so tenants cannot probe each other's
@@ -209,7 +190,7 @@ func (m *Manager) checkOwner(id string, acct *tenant.Account) error {
 // the running view (or, with ?wait=1, blocks and answers 200 with the
 // settled view).
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	acct, ok := m.authenticate(w, r)
+	acct, ok := serve.Authenticate(w, r, m.cfg.Tenants, m.anon)
 	if !ok {
 		return
 	}
@@ -226,13 +207,13 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeSweepError(w, err)
 		return
 	}
-	if wantWait(r) {
+	if serve.WantWait(r) {
 		view, err := m.Await(r.Context(), id)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusGatewayTimeout, httpapi.CodeTimeout, err.Error(), 0)
 			return
 		}
-		writeJSON(w, http.StatusOK, view)
+		httpapi.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	view, err := m.Status(id)
@@ -240,13 +221,13 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, view)
+	httpapi.WriteJSON(w, http.StatusAccepted, view)
 }
 
 // handleStatus answers the sweep view; ?wait=1 blocks until
 // settlement.
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
-	acct, ok := m.authenticate(w, r)
+	acct, ok := serve.Authenticate(w, r, m.cfg.Tenants, m.anon)
 	if !ok {
 		return
 	}
@@ -259,7 +240,7 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 		view SweepView
 		err  error
 	)
-	if wantWait(r) {
+	if serve.WantWait(r) {
 		view, err = m.Await(r.Context(), id)
 	} else {
 		view, err = m.Status(id)
@@ -268,14 +249,14 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeSweepError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	httpapi.WriteJSON(w, http.StatusOK, view)
 }
 
 // handleCancel aborts a running sweep: 202 with the current view on
 // success, 404 for unknown (or foreign) IDs, 409 for sweeps already
 // settled.
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
-	acct, ok := m.authenticate(w, r)
+	acct, ok := serve.Authenticate(w, r, m.cfg.Tenants, m.anon)
 	if !ok {
 		return
 	}
@@ -293,25 +274,20 @@ func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, view)
-}
-
-// wantWait reports whether the request opted into blocking semantics.
-func wantWait(r *http.Request) bool {
-	v := strings.ToLower(r.URL.Query().Get("wait"))
-	return v == "1" || v == "true"
+	httpapi.WriteJSON(w, http.StatusAccepted, view)
 }
 
 // writeSweepError maps a Manager error onto the structured envelope:
-// quota breaches are 429 with Retry-After, a closed manager 503,
-// unknown sweeps 404, finished sweeps 409, expired contexts 504, and
-// anything else (ErrBadSweep and friends) 400.
+// quota breaches are 429 with Retry-After, a closed manager and an
+// admission the journal cannot record 503, unknown sweeps 404,
+// finished sweeps 409, expired contexts 504, and anything else
+// (ErrBadSweep and friends) 400.
 func writeSweepError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, tenant.ErrQuotaExceeded):
 		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeQuotaExceeded,
 			err.Error(), serve.RetryAfterQuota)
-	case errors.Is(err, ErrManagerClosed):
+	case errors.Is(err, ErrManagerClosed), errors.Is(err, serve.ErrNotDurable):
 		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable, err.Error(), 0)
 	case errors.Is(err, ErrUnknownSweep):
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error(), 0)
@@ -322,10 +298,4 @@ func writeSweepError(w http.ResponseWriter, err error) {
 	default:
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeInvalidRequest, err.Error(), 0)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -3,12 +3,14 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"quditkit/internal/httpapi"
 	"quditkit/internal/journal"
 	"quditkit/internal/metrics"
 	"quditkit/internal/serve"
@@ -377,5 +379,27 @@ func TestSweepJournalFailuresRender(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "\nquditd_sweep_journal_failures_total 1\n") {
 		t.Fatalf("/metrics lacks the sweep failure counter:\n%s", out.String())
+	}
+}
+
+// TestSweepJournalClosedAnswers503: a sweep the journal cannot record
+// is refused with 503 unavailable, the transient code, not 400.
+func TestSweepJournalClosedAnswers503(t *testing.T) {
+	jl, _ := openSweepJournal(t, t.TempDir())
+	m := newTestManager(t, decayRunner(), Config{Journal: jl})
+	ts := httptest.NewServer(NewHandler(m, http.NotFoundHandler()))
+	t.Cleanup(ts.Close)
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(rbBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	det, ok := httpapi.Decode(body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !ok || det.Code != httpapi.CodeUnavailable {
+		t.Fatalf("status %d body %s, want 503 %s", resp.StatusCode, body, httpapi.CodeUnavailable)
 	}
 }

@@ -52,7 +52,7 @@ const (
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		acct, ok := s.authenticate(w, r)
+		acct, ok := Authenticate(w, r, s.cfg.Tenants, s.anon)
 		if !ok {
 			return
 		}
@@ -88,7 +88,7 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		var view JobView
-		if wantWait(r) {
+		if WantWait(r) {
 			// AwaitView holds the job record across the wait, so a
 			// concurrent retention prune cannot lose the outcome; the
 			// job's own terminal error lands in the JobView body, and
@@ -114,7 +114,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		acct, ok := s.authenticate(w, r)
+		acct, ok := Authenticate(w, r, s.cfg.Tenants, s.anon)
 		if !ok {
 			return
 		}
@@ -127,7 +127,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		acct, ok := s.authenticate(w, r)
+		acct, ok := Authenticate(w, r, s.cfg.Tenants, s.anon)
 		if !ok {
 			return
 		}
@@ -138,7 +138,7 @@ func NewHandler(s *Service) http.Handler {
 		}
 		var view JobView
 		var err error
-		if wantWait(r) {
+		if WantWait(r) {
 			view, err = s.AwaitView(r.Context(), id)
 		} else {
 			view, err = s.jobView(id)
@@ -155,7 +155,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		acct, ok := s.authenticate(w, r)
+		acct, ok := Authenticate(w, r, s.cfg.Tenants, s.anon)
 		if !ok {
 			return
 		}
@@ -190,15 +190,15 @@ func NewHandler(s *Service) http.Handler {
 	return mux
 }
 
-// authenticate resolves the request's tenant account. Without a
-// registry every caller is the anonymous account; with one, a missing
-// or unknown X-API-Key is refused with 401 tenant_unknown (and ok is
-// false — the response has been written).
-func (s *Service) authenticate(w http.ResponseWriter, r *http.Request) (*tenant.Account, bool) {
-	if s.cfg.Tenants == nil {
-		return s.anon, true
+// Authenticate resolves the request's tenant account for every job,
+// sweep and coordinator route. With a nil registry every caller is
+// anon; with one, a missing or unknown X-API-Key is refused with 401
+// tenant_unknown and ok is false (the response has been written).
+func Authenticate(w http.ResponseWriter, r *http.Request, reg *tenant.Registry, anon *tenant.Account) (*tenant.Account, bool) {
+	if reg == nil {
+		return anon, true
 	}
-	acct, err := s.cfg.Tenants.Lookup(r.Header.Get("X-API-Key"))
+	acct, err := reg.Lookup(r.Header.Get("X-API-Key"))
 	if err != nil {
 		httpapi.WriteError(w, http.StatusUnauthorized, httpapi.CodeTenantUnknown,
 			"missing or unknown X-API-Key", 0)
@@ -226,16 +226,17 @@ func (s *Service) checkOwner(id JobID, acct *tenant.Account) error {
 
 // WriteServiceError maps a serve-layer error onto the httpapi
 // envelope: backpressure and quota breaches become 429s with
-// Retry-After, shutdown 503, unknown IDs 404, settled-job conflicts
-// 409, and anything else (admission failures) 400. Shared by the
-// experiment layer, which surfaces the same error set.
+// Retry-After, shutdown and an admission the journal cannot record
+// 503, unknown IDs 404, settled-job conflicts 409, and anything else
+// (admission failures) 400. Shared by the experiment layer, which
+// surfaces the same error set.
 func WriteServiceError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeQueueFull, err.Error(), RetryAfterQueueFull)
 	case errors.Is(err, tenant.ErrQuotaExceeded):
 		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeQuotaExceeded, err.Error(), RetryAfterQuota)
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrNotDurable):
 		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable, err.Error(), 0)
 	case errors.Is(err, ErrUnknownJob):
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error(), 0)
@@ -292,10 +293,11 @@ func viewOf(j *job) JobView {
 	return view
 }
 
-// wantWait reports whether the request opted into blocking until the
-// job settles: a bare ?wait or any truthy value; explicit falsy values
-// ("0", "false") select the async path.
-func wantWait(r *http.Request) bool {
+// WantWait reports whether the request opted into blocking until the
+// job or sweep settles: a bare ?wait or any value other than an
+// explicit false ("0", "false", or another strconv.ParseBool false)
+// blocks. Jobs, sweeps and the coordinator all parse ?wait with it.
+func WantWait(r *http.Request) bool {
 	if !r.URL.Query().Has("wait") {
 		return false
 	}
