@@ -26,6 +26,24 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// TestParseFlagsAcceptsDeprecatedBatch: -batch is ignored (each shard
+// runs one job at a time) but still parses, so existing command lines
+// and scripts keep starting the daemon.
+func TestParseFlagsAcceptsDeprecatedBatch(t *testing.T) {
+	o, err := parseFlags([]string{"-batch", "4", "-shards", "1"}, io.Discard)
+	if err != nil {
+		t.Fatalf("-batch 4 rejected: %v", err)
+	}
+	if o.shards != 1 {
+		t.Errorf("options = %+v", o)
+	}
+	svc, err := newService(o, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+}
+
 func TestNewServiceRejectsBadDevice(t *testing.T) {
 	if _, err := newService(options{cavities: 0, modes: 0, seed: 1}, nil, nil); err == nil {
 		t.Error("empty device accepted")

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -377,5 +378,136 @@ func TestBuildCircuitMatrixBudget(t *testing.T) {
 	}
 	if _, err := BuildCircuit(big); err == nil {
 		t.Error("gate-matrix budget not enforced")
+	}
+}
+
+// waitState polls until job id reaches want, failing after 30 s.
+func waitState(t *testing.T, s *Service, id JobID, want JobState) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == want {
+			return
+		}
+		if st.State.settled() || time.Now().After(deadline) {
+			t.Fatalf("job %s is %v, never reached %v", id, st.State, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// enqueueLong submits a noisy trajectory job that runs until cancelled
+// for any test's purposes.
+func enqueueLong(t *testing.T, s *Service, seed int64) JobID {
+	t.Helper()
+	id, err := s.Enqueue(ghz(t), core.WithBackend(core.Trajectory),
+		core.WithNoise(noise.Model{Damping: 1e-3}), core.WithShots(500_000), core.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// TestQueuedJobsReportQueuedWhileOneRuns: a shard runs one job at a
+// time, so the jobs behind the running one report queued, and the
+// running gauge counts only the job that executes.
+func TestQueuedJobsReportQueuedWhileOneRuns(t *testing.T) {
+	s := newTestService(t, Config{Shards: 1, CacheSize: -1})
+	blocker := enqueueLong(t, s, 1)
+	waitState(t, s, blocker, Running)
+	// Three jobs pile up behind the blocker; the first of them is long.
+	first := enqueueLong(t, s, 2)
+	var behind []JobID
+	for k := 0; k < 2; k++ {
+		id, err := s.Enqueue(shiftCircuit(t, k), core.WithShots(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		behind = append(behind, id)
+	}
+	if err := s.CancelJob(blocker); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, first, Running)
+	// Nothing may start behind a running job; give a wrong worker the
+	// time to begin the jobs it would have popped with it.
+	time.Sleep(50 * time.Millisecond)
+	for _, id := range behind {
+		if st, _ := s.Status(id); st.State != Queued {
+			t.Errorf("job %s behind the running one is %v, want queued", id, st.State)
+		}
+	}
+	st := s.Stats()
+	if st.Running != 1 || st.Queued != 2 || st.InflightShots != 500_000 {
+		t.Errorf("gauges while one job runs: running=%d queued=%d inflight_shots=%d, want 1, 2, 500000",
+			st.Running, st.Queued, st.InflightShots)
+	}
+	if err := s.CancelJob(first); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range behind {
+		if _, err := s.Await(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShortJobSettlesBeforeLongJobBehindIt: a job settles when its own
+// run ends, not when the job popped after it ends.
+func TestShortJobSettlesBeforeLongJobBehindIt(t *testing.T) {
+	s := newTestService(t, Config{Shards: 1, CacheSize: -1})
+	blocker := enqueueLong(t, s, 1)
+	waitState(t, s, blocker, Running)
+	short, err := s.Enqueue(shiftCircuit(t, 0), core.WithShots(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := enqueueLong(t, s, 2)
+	if err := s.CancelJob(blocker); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := s.Await(ctx, short); err != nil {
+		t.Fatalf("short job: %v", err)
+	}
+	if st, _ := s.Status(long); st.State.settled() {
+		t.Fatalf("long job is %v when the short job ahead of it settled; want it still queued or running", st.State)
+	}
+	if err := s.CancelJob(long); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedJobErrorIsTheCause: a failed job reports the backend's own
+// error text, not core.JobError's position in a one-job Submit.
+func TestFailedJobErrorIsTheCause(t *testing.T) {
+	s := newTestService(t, Config{Shards: 1})
+	opts := []core.RunOption{core.WithNoise(noise.Model{Damping: 0.1})}
+	id, err := s.Enqueue(ghz(t), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Await(context.Background(), id); err == nil {
+		t.Fatal("noisy statevector job did not fail")
+	}
+	_, direct := testProcessor(t).SubmitOne(ghz(t), opts...)
+	var je *core.JobError
+	if !errors.As(direct, &je) {
+		t.Fatalf("SubmitOne error %v is not a *core.JobError", direct)
+	}
+	view, err := s.jobView(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.State != Failed.String() || view.Error != je.Err.Error() {
+		t.Fatalf("view = %+v, want failed with error %q", view, je.Err.Error())
+	}
+	if strings.HasPrefix(view.Error, "job 0: ") {
+		t.Fatalf("error %q carries the batch position", view.Error)
 	}
 }
