@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -103,7 +102,8 @@ func TestServiceStatusLifecycleAndErrors(t *testing.T) {
 
 	// A failing job (statevector backend rejects noise) settles Failed
 	// without disturbing the job queued behind it.
-	badID, err := s.Enqueue(ghz(t), core.WithNoise(noise.Model{Damping: 0.1}))
+	noisy := core.WithNoise(noise.Model{Damping: 0.1})
+	badID, err := s.Enqueue(ghz(t), noisy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,17 @@ func TestServiceStatusLifecycleAndErrors(t *testing.T) {
 	}
 	st, _ := s.Status(badID)
 	if st.State != Failed || st.Err == nil {
-		t.Errorf("bad job status = %+v, want Failed", st)
+		t.Fatalf("bad job status = %+v, want Failed", st)
+	}
+	// Its error is the backend's own, not core.JobError's position in
+	// a one-job Submit ("job 0: ...").
+	_, direct := testProcessor(t).SubmitOne(ghz(t), noisy)
+	var je *core.JobError
+	if !errors.As(direct, &je) {
+		t.Fatalf("SubmitOne error %v is not a *core.JobError", direct)
+	}
+	if view, _ := s.jobView(badID); st.Err.Error() != je.Err.Error() || view.Error != je.Err.Error() {
+		t.Errorf("bad job error %q (view %q), want %q", st.Err, view.Error, je.Err)
 	}
 }
 
@@ -480,34 +490,5 @@ func TestShortJobSettlesBeforeLongJobBehindIt(t *testing.T) {
 	}
 	if err := s.CancelJob(long); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFailedJobErrorIsTheCause: a failed job reports the backend's own
-// error text, not core.JobError's position in a one-job Submit.
-func TestFailedJobErrorIsTheCause(t *testing.T) {
-	s := newTestService(t, Config{Shards: 1})
-	opts := []core.RunOption{core.WithNoise(noise.Model{Damping: 0.1})}
-	id, err := s.Enqueue(ghz(t), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Await(context.Background(), id); err == nil {
-		t.Fatal("noisy statevector job did not fail")
-	}
-	_, direct := testProcessor(t).SubmitOne(ghz(t), opts...)
-	var je *core.JobError
-	if !errors.As(direct, &je) {
-		t.Fatalf("SubmitOne error %v is not a *core.JobError", direct)
-	}
-	view, err := s.jobView(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.State != Failed.String() || view.Error != je.Err.Error() {
-		t.Fatalf("view = %+v, want failed with error %q", view, je.Err.Error())
-	}
-	if strings.HasPrefix(view.Error, "job 0: ") {
-		t.Fatalf("error %q carries the batch position", view.Error)
 	}
 }
