@@ -3,9 +3,12 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"quditkit/internal/journal"
 	"quditkit/internal/metrics"
 	"quditkit/internal/serve"
+	"quditkit/internal/tenant"
 )
 
 // openSweepJournal opens (or reopens) a sweeps journal in dir.
@@ -401,5 +405,107 @@ func TestSweepJournalClosedAnswers503(t *testing.T) {
 	det, ok := httpapi.Decode(body)
 	if resp.StatusCode != http.StatusServiceUnavailable || !ok || det.Code != httpapi.CodeUnavailable {
 		t.Fatalf("status %d body %s, want 503 %s", resp.StatusCode, body, httpapi.CodeUnavailable)
+	}
+}
+
+// TestSweepJournalFixtureReplays pins the sweeps journal's on-disk
+// format. testdata/journal holds a journal written by an earlier
+// build: a snapshot (next ID 2, sweep s-000002 with cells 0 and 1
+// settled), then a WAL tail that settles s-000002's cell 2, admits
+// s-000003 for tenant acme and settles its cell 0, and runs s-000004
+// to completion. An upgraded manager must resume exactly s-000002 and
+// s-000003 with their verbatim requests, owners and recorded cells,
+// and issue s-000005 next. Each fixture cell ran on a scripted runner
+// that answered shots-len(ops) zeros, so its result is recomputable.
+func TestSweepJournalFixtureReplays(t *testing.T) {
+	reg, err := tenant.Load([]byte(`{"tenants": [{"name": "acme", "api_key": "k-acme"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"sweeps.wal", "sweeps.snap"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "journal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl, rec := openSweepJournal(t, dir)
+	// Unrecorded cells wait for cancellation, so the restored state
+	// stays as replay left it.
+	blocked := &fakeRunner{fn: func(ctx context.Context, _ serve.JobRequest) (serve.JobView, error) {
+		<-ctx.Done()
+		return serve.JobView{}, ctx.Err()
+	}}
+	m := newTestManager(t, blocked, Config{Journal: jl, Tenants: reg})
+	n, err := m.Replay(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("resumed %d sweeps, want 2", n)
+	}
+	for _, w := range []struct {
+		id       string
+		shots    int
+		owner    string
+		recorded int
+	}{
+		{"s-000002", 65, tenant.AnonymousName, 3},
+		{"s-000003", 66, "acme", 1},
+	} {
+		req := rbReq()
+		req.Shots = w.shots
+		wantReq, _ := json.Marshal(req)
+		exp, err := expand(req, DefaultMaxCells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		s := m.sweeps[w.id]
+		_, journaled := m.journaled[w.id]
+		m.mu.Unlock()
+		if s == nil || !journaled {
+			t.Fatalf("%s not resumed", w.id)
+		}
+		if string(s.reqJSON) != string(wantReq) || s.acct.Name() != w.owner {
+			t.Fatalf("%s resumed as %s (owner %q), want %s (owner %q)", w.id, s.reqJSON, s.acct.Name(), wantReq, w.owner)
+		}
+		s.mu.Lock()
+		for i, cell := range s.cells {
+			if i >= w.recorded {
+				if cell.state == cellDone {
+					t.Errorf("%s cell %d settled without a record", w.id, i)
+				}
+				continue
+			}
+			zero := w.shots - len(exp.cells[i].job.Circuit.Ops)
+			want := doneView(w.shots, zero, false).Result
+			got, _ := json.Marshal(cell.res)
+			wantRes, _ := json.Marshal(want)
+			if cell.state != cellDone || string(got) != string(wantRes) || !cell.hasMetric ||
+				cell.metric != float64(zero)/float64(w.shots) {
+				t.Errorf("%s cell %d restored as %s %s metric %v, want done %s metric %v",
+					w.id, i, cell.state, got, cell.metric, wantRes, float64(zero)/float64(w.shots))
+			}
+		}
+		if s.settled != w.recorded || s.done != w.recorded {
+			t.Errorf("%s restored %d settled / %d done, want %d", w.id, s.settled, s.done, w.recorded)
+		}
+		s.mu.Unlock()
+	}
+	for _, id := range []string{"s-000001", "s-000004"} {
+		if _, err := m.Status(id); !errors.Is(err, ErrUnknownSweep) {
+			t.Fatalf("settled %s resumed: %v", id, err)
+		}
+	}
+	id, err := m.Submit(rbReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "s-000005" {
+		t.Fatalf("post-replay ID = %s, want s-000005", id)
 	}
 }

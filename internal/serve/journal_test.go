@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"quditkit/internal/journal"
 	"quditkit/internal/metrics"
 	"quditkit/internal/noise"
+	"quditkit/internal/tenant"
 )
 
 // wirePayload renders a distinct, valid JobRequest body: k X-gates on
@@ -416,5 +419,95 @@ func TestJournalClosedAnswers503(t *testing.T) {
 	}
 	if st := s.Stats(); st.Enqueued != 0 || st.Queued != 0 || st.Journal.Lag != 0 {
 		t.Fatalf("refused submission left state behind: %+v", st)
+	}
+}
+
+// copyFixture copies a committed journal fixture into a fresh
+// directory: Replay compacts the journal it reads, and the fixture
+// must stay as it was written.
+func copyFixture(t *testing.T, names ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join("testdata", "journal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// fixtureSlow is the payload of the fixture's first unsettled job:
+// 50,000 noisy trajectory shots, long enough to hold the only shard
+// while the test inspects the jobs queued behind it.
+const fixtureSlow = `{"circuit":{"dims":[3,3,3],"ops":[{"gate":"dft","targets":[0]},{"gate":"csum","targets":[0,1]},{"gate":"csum","targets":[0,2]}]},"backend":"trajectory","noise":{"depol1":0.02},"shots":50000,"seed":5}`
+
+// TestJournalFixtureReplays pins the jobs journal's on-disk format.
+// testdata/journal holds a journal written by an earlier build: a
+// snapshot (next ID 3, unsettled j-000002 and j-000003), then a WAL
+// tail that admits j-000004 for tenant acme, settles j-000003 and
+// admits j-000005. An upgraded node must replay exactly j-000002,
+// j-000004 and j-000005 with their verbatim payloads and tenants, and
+// issue j-000006 next.
+func TestJournalFixtureReplays(t *testing.T) {
+	reg, err := tenant.Load([]byte(`{"tenants": [{"name": "acme", "api_key": "k-acme"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, rec := openJournal(t, copyFixture(t, "jobs.wal", "jobs.snap"))
+	s := newTestService(t, Config{Journal: jl, Shards: 1, Tenants: reg})
+	n, err := s.Replay(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[JobID]journaledJob{
+		"j-000002": {payload: []byte(fixtureSlow)},
+		"j-000004": {payload: wirePayload(3, 32), tenant: "acme"},
+		"j-000005": {payload: wirePayload(4, 16)},
+	}
+	if n != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", n, len(want))
+	}
+	// j-000002 holds the only shard, so nothing has settled yet.
+	s.mu.Lock()
+	for id, w := range want {
+		got, ok := s.journaled[id]
+		if !ok || string(got.payload) != string(w.payload) || got.tenant != w.tenant {
+			s.mu.Unlock()
+			t.Fatalf("replayed %s = %q (tenant %q), want %q (tenant %q)", id, got.payload, got.tenant, w.payload, w.tenant)
+		}
+		if acct := s.jobs[id].acct.Name(); (w.tenant == "" && acct != tenant.AnonymousName) || (w.tenant != "" && acct != w.tenant) {
+			s.mu.Unlock()
+			t.Fatalf("replayed %s runs as %q, want tenant %q", id, acct, w.tenant)
+		}
+	}
+	if len(s.journaled) != len(want) {
+		s.mu.Unlock()
+		t.Fatalf("replay left %d journaled jobs, want %d", len(s.journaled), len(want))
+	}
+	s.mu.Unlock()
+
+	if err := s.CancelJob("j-000002"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []JobID{"j-000004", "j-000005"} {
+		if _, err := s.Await(context.Background(), id); err != nil {
+			t.Fatalf("replayed %s: %v", id, err)
+		}
+	}
+	for _, id := range []JobID{"j-000001", "j-000003"} {
+		if _, err := s.Status(id); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("settled %s replayed: %v", id, err)
+		}
+	}
+	id, err := s.Enqueue(ghz(t), core.WithShots(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "j-000006" {
+		t.Fatalf("post-replay ID = %s, want j-000006", id)
 	}
 }
