@@ -62,15 +62,18 @@
 // under any scheduling interleaving — seeds are content-addressed, so
 // tenancy changes who waits, never what is computed.
 //
-// With -journal DIR the daemon is crash-durable: every accepted job
-// and sweep is recorded in a write-ahead journal (internal/journal)
-// before the submitter hears an ID, and every settlement is recorded
-// after. A restart on the same directory replays unsettled work —
-// jobs re-enter the queue under their original IDs, sweeps re-run only
-// their unfinished cells — before the listener opens, so clients that
-// poll or stream by ID resume where they left off. A corrupt journal
-// (anything beyond a torn final record) fails startup loudly rather
-// than serving from partial state.
+// With -journal DIR the daemon is crash-durable in every role: every
+// accepted job and sweep is recorded in a write-ahead journal
+// (internal/journal) before the submitter hears an ID, and every
+// settlement is recorded after. A restart on the same directory
+// replays unsettled work — jobs re-enter the queue under their
+// original IDs (on a coordinator: keep their routing, with the
+// registered workers), sweeps re-run only their unfinished cells —
+// before the listener opens, so clients that poll or stream by ID
+// resume where they left off. A corrupt journal (anything beyond a
+// torn final record) fails startup loudly rather than serving from
+// partial state. -checkpoint, the coordinator's former state file, is
+// still accepted and ignored.
 package main
 
 import (
@@ -144,7 +147,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.DurationVar(&o.hbTTL, "heartbeat-ttl", 5*time.Second, "coordinator: missed-heartbeat window before a worker is reaped")
 	fs.DurationVar(&o.controlTimeout, "control-timeout", 30*time.Second, "coordinator: per-request bound on control traffic to workers (dispatch, cancel, stats)")
 	fs.DurationVar(&o.agentTimeout, "agent-timeout", 10*time.Second, "worker: per-request bound on control traffic to the coordinator (register, heartbeat)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "coordinator: state checkpoint file; restart replays registered workers and unsettled jobs from it (empty disables)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "deprecated and ignored: a coordinator journals its jobs under -journal")
 	fs.StringVar(&o.journal, "journal", "", "write-ahead journal directory; restart replays unsettled jobs and sweeps from it (empty disables)")
 	fs.IntVar(&o.sweepParallel, "sweep-parallel", 0, "cells one sweep keeps in flight (0 = default)")
 	fs.StringVar(&o.tenants, "tenants", "", "tenant registry JSON file; enables API-key auth, per-tenant quotas, and weighted scheduling (empty runs single-tenant)")
@@ -196,25 +199,20 @@ func loadTenants(o options, logger *log.Logger) (*tenant.Registry, error) {
 }
 
 // openJournals prepares the daemon's durable state directory and opens
-// the journals the role needs: all roles journal sweeps; standalone and
-// worker nodes also journal jobs (a coordinator's job durability lives
-// in its -checkpoint file). Recovery is strict — anything beyond a torn
-// final record is a startup error, never silently partial state.
+// its two journals, the same in every role: jobs and sweeps. Recovery
+// is strict — anything beyond a torn final record is a startup error,
+// never silently partial state.
 func openJournals(o options) (jobs, sweeps *journal.Journal, jobsRec, sweepsRec journal.Recovery, err error) {
 	if err = os.MkdirAll(o.journal, 0o755); err != nil {
 		return nil, nil, journal.Recovery{}, journal.Recovery{}, fmt.Errorf("creating journal directory: %w", err)
 	}
-	if o.role != "coordinator" {
-		jobs, jobsRec, err = journal.Open(o.journal, "jobs")
-		if err != nil {
-			return nil, nil, journal.Recovery{}, journal.Recovery{}, fmt.Errorf("opening job journal: %w", err)
-		}
+	jobs, jobsRec, err = journal.Open(o.journal, "jobs")
+	if err != nil {
+		return nil, nil, journal.Recovery{}, journal.Recovery{}, fmt.Errorf("opening job journal: %w", err)
 	}
 	sweeps, sweepsRec, err = journal.Open(o.journal, "sweeps")
 	if err != nil {
-		if jobs != nil {
-			jobs.Close()
-		}
+		jobs.Close()
 		return nil, nil, journal.Recovery{}, journal.Recovery{}, fmt.Errorf("opening sweep journal: %w", err)
 	}
 	return jobs, sweeps, jobsRec, sweepsRec, nil
@@ -246,6 +244,9 @@ func newHTTPServer(h http.Handler) *http.Server {
 // gracefully. If ready is non-nil it receives the bound listen address
 // once the server is accepting connections.
 func run(ctx context.Context, o options, logger *log.Logger, ready chan<- net.Addr) error {
+	if o.checkpoint != "" {
+		logger.Printf("quditd: -checkpoint is deprecated and ignored; a coordinator journals its jobs under -journal")
+	}
 	if o.role == "coordinator" {
 		return runCoordinator(ctx, o, logger, ready)
 	}
@@ -390,18 +391,17 @@ func runNode(ctx context.Context, o options, logger *log.Logger, ready chan<- ne
 // simulator — every job is dispatched to a registered worker.
 func runCoordinator(ctx context.Context, o options, logger *log.Logger, ready chan<- net.Addr) error {
 	var (
-		sweepsJournal *journal.Journal
-		sweepsRec     journal.Recovery
+		jobsJournal, sweepsJournal *journal.Journal
+		jobsRec, sweepsRec         journal.Recovery
 	)
 	if o.journal != "" {
-		// A coordinator journals sweeps only: its job durability is the
-		// -checkpoint file, which already replays the dispatch table.
 		var err error
-		_, sweepsJournal, _, sweepsRec, err = openJournals(o)
+		jobsJournal, sweepsJournal, jobsRec, sweepsRec, err = openJournals(o)
 		if err != nil {
 			return err
 		}
 		defer sweepsJournal.Close()
+		defer jobsJournal.Close()
 	}
 	proc, err := core.NewCompactProcessor(o.cavities, o.modes, o.seed)
 	if err != nil {
@@ -416,11 +416,23 @@ func runCoordinator(ctx context.Context, o options, logger *log.Logger, ready ch
 		HeartbeatTTL:   o.hbTTL,
 		RetainJobs:     o.retain,
 		ControlTimeout: o.controlTimeout,
-		CheckpointPath: o.checkpoint,
+		Journal:        jobsJournal,
 		Tenants:        tenants,
 	})
 	if err != nil {
 		return err
+	}
+	// Jobs first: the restored workers are where resumed sweeps
+	// dispatch their unfinished cells.
+	if jobsJournal != nil {
+		n, err := coord.Replay(jobsRec)
+		if err != nil {
+			coord.Close()
+			return fmt.Errorf("replaying job journal: %w", err)
+		}
+		if n > 0 {
+			logger.Printf("quditd coordinator replayed %d unsettled job(s) from %s", n, o.journal)
+		}
 	}
 	mgr, err := experiment.NewManager(coord, experiment.Config{Parallel: o.sweepParallel, Journal: sweepsJournal, Tenants: tenants})
 	if err != nil {

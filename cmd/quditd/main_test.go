@@ -9,6 +9,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -42,6 +45,71 @@ func TestParseFlagsAcceptsDeprecatedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Close()
+}
+
+// TestParseFlagsAcceptsDeprecatedCheckpoint: -checkpoint is ignored (a
+// coordinator journals its jobs under -journal) but still parses, so
+// existing command lines keep starting the coordinator, which logs
+// once that the flag is ignored and never writes the file.
+func TestParseFlagsAcceptsDeprecatedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "coord.ckpt")
+	o, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-role", "coordinator",
+		"-journal", filepath.Join(dir, "journal"), "-checkpoint", ckpt}, io.Discard)
+	if err != nil {
+		t.Fatalf("-checkpoint rejected: %v", err)
+	}
+	var logs syncBuffer
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, o, log.New(&logs, "", 0), ready) }()
+	var addr net.Addr
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("coordinator exited: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("coordinator never ready")
+	}
+	resp, err := http.Get("http://" + addr.String() + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Role    string          `json:"role"`
+		Journal json.RawMessage `json:"journal"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || st.Role != "coordinator" || st.Journal == nil {
+		t.Fatalf("coordinator stats %+v (%v), want a journal block", st, err)
+	}
+	stopRun(t, cancel, done)
+	if n := strings.Count(logs.String(), "-checkpoint is deprecated and ignored"); n != 1 {
+		t.Fatalf("logged the deprecation %d times:\n%s", n, logs.String())
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("coordinator wrote the ignored checkpoint file: %v", err)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger and a reader.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func TestNewServiceRejectsBadDevice(t *testing.T) {

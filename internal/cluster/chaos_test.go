@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -28,6 +29,9 @@ import (
 	"quditkit/internal/chaos"
 	"quditkit/internal/core"
 	"quditkit/internal/experiment"
+	"quditkit/internal/httpapi"
+	"quditkit/internal/journal"
+	"quditkit/internal/metrics"
 	"quditkit/internal/serve"
 )
 
@@ -72,8 +76,20 @@ func jobsPathOnly(r *http.Request) bool {
 	return r.Method == http.MethodPost && r.URL.Path == "/v1/jobs"
 }
 
+// openCoordJournal opens (or reopens) a coordinator's jobs journal in
+// dir.
+func openCoordJournal(t *testing.T, dir string) (*journal.Journal, journal.Recovery) {
+	t.Helper()
+	jl, rec, err := journal.Open(dir, "jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jl.Close() })
+	return jl, rec
+}
+
 // TestChaosCoordinatorDeathMidQueue crashes the coordinator with jobs
-// still in flight and restarts it from its checkpoint: every accepted
+// still in flight and restarts it from its journal: every accepted
 // job must settle done on the successor with bytes identical to an
 // undisturbed standalone run — zero dropped jobs. The first
 // coordinator additionally dispatches through a chaos transport
@@ -82,7 +98,8 @@ func jobsPathOnly(r *http.Request) bool {
 func TestChaosCoordinatorDeathMidQueue(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ckpt := filepath.Join(t.TempDir(), "coord.ckpt")
+			dir := t.TempDir()
+			jl1, _ := openCoordJournal(t, dir)
 			clk := newFakeClock()
 			proc, err := core.NewCompactProcessor(2, 2, 1)
 			if err != nil {
@@ -103,7 +120,7 @@ func TestChaosCoordinatorDeathMidQueue(t *testing.T) {
 			coord1, err := NewCoordinator(CoordinatorConfig{
 				Proc:            proc,
 				MonitorInterval: -1,
-				CheckpointPath:  ckpt,
+				Journal:         jl1,
 				DispatchRetries: 6,
 				DispatchBackoff: 5 * time.Millisecond,
 				Client:          &http.Client{Timeout: 30 * time.Second, Transport: tr},
@@ -146,22 +163,27 @@ func TestChaosCoordinatorDeathMidQueue(t *testing.T) {
 			}
 
 			// Crash: the server vanishes, the monitor dies, nothing is
-			// flushed beyond what the checkpoint already holds.
+			// written beyond what the journal already holds.
 			ts1.Close()
 			coord1.Close()
+			jl1.Close()
 
-			// Restart from the checkpoint (clean transport: the replay
+			// Restart from the journal (clean transport: the replay
 			// itself is what's under test here).
+			jl2, rec := openCoordJournal(t, dir)
 			coord2, err := NewCoordinator(CoordinatorConfig{
 				Proc:            proc,
 				MonitorInterval: -1,
-				CheckpointPath:  ckpt,
+				Journal:         jl2,
 				now:             clk.Now,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer coord2.Close()
+			if _, err := coord2.Replay(rec); err != nil {
+				t.Fatal(err)
+			}
 			ts2 := httptest.NewServer(Handler(coord2))
 			defer ts2.Close()
 
@@ -494,34 +516,37 @@ func TestChaosSSEWatchSurvivesRequeue(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip pins the checkpoint contract: unsettled jobs
-// and registered workers survive a restart byte-for-byte (IDs,
-// payloads, routing), settled views are deliberately forgotten, and
-// the ID counter never reissues. A corrupt checkpoint fails loudly.
-func TestCheckpointRoundTrip(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "coord.ckpt")
+// TestCoordinatorJournalRoundTrip pins the coordinator journal's
+// contract: unsettled jobs and registered workers survive a restart
+// byte-for-byte (IDs, payloads, routing), settled views are
+// deliberately forgotten, and the ID counter never reissues. A torn
+// final record is the residue of a crash mid-append and replays the
+// same state; a corrupt snapshot or record fails loudly.
+func TestCoordinatorJournalRoundTrip(t *testing.T) {
+	dir := t.TempDir()
 	clk := newFakeClock()
 	proc, err := core.NewCompactProcessor(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func() *Coordinator {
+	mk := func(jl *journal.Journal) *Coordinator {
 		c, err := NewCoordinator(CoordinatorConfig{
-			Proc: proc, MonitorInterval: -1, CheckpointPath: ckpt, now: clk.Now,
+			Proc: proc, MonitorInterval: -1, Journal: jl, now: clk.Now,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	coord1 := mk()
+	jl1, _ := openCoordJournal(t, dir)
+	coord1 := mk(jl1)
 	w1 := newTestWorker(t, 1, serve.Config{Shards: 1})
 	coord1.Register("w1", w1.ts.URL)
 	ts1 := httptest.NewServer(Handler(coord1))
 
 	// The fast job settles first (waiting on it after the slow one would
 	// block behind it on the single shard and settle both); the slow job
-	// is still unsettled when the checkpoint is read.
+	// is still unsettled when the coordinator dies.
 	fast := ghzBody(16, 8)
 	fv, fstatus := postJob(t, ts1.URL, fast, true)
 	if fstatus != http.StatusOK || fv.State != "done" {
@@ -529,42 +554,50 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	slow := ghzBody(80000, 7)
 	sv, _ := postJob(t, ts1.URL, slow, false)
+	ts1.Close()
+	coord1.Close()
+	jl1.Close()
 
-	data, err := os.ReadFile(ckpt)
+	// A crash mid-append leaves a torn final record behind.
+	wal, err := os.OpenFile(filepath.Join(dir, "jobs.wal"), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap checkpointFile
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if _, err := wal.Write([]byte{64, 0, 0, 0, recDispatch, '{', '"'}); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != checkpointVersion || len(snap.Workers) != 1 || snap.Workers[0].ID != "w1" {
-		t.Fatalf("checkpoint snapshot %+v", snap)
-	}
+	wal.Close()
+
+	jl2, rec := openCoordJournal(t, dir)
 	var foundSlow bool
-	for _, j := range snap.Jobs {
-		if j.ID == fv.ID {
-			t.Fatal("settled job persisted in checkpoint")
+	for _, r := range rec.Records {
+		var e entry
+		if err := json.Unmarshal(r.Payload, &e); err != nil {
+			t.Fatalf("journal record %q: %v", r.Payload, err)
 		}
-		if j.ID == sv.ID {
+		if r.Kind == recDispatch && e.ID == sv.ID {
 			foundSlow = true
-			if string(j.Payload) != slow {
-				t.Fatalf("payload not verbatim:\nckpt: %s\nsent: %s", j.Payload, slow)
+			if string(e.Payload) != slow {
+				t.Fatalf("payload not verbatim:\njournal: %s\nsent:    %s", e.Payload, slow)
 			}
-			if j.Worker != "w1" || j.Remote == "" {
-				t.Fatalf("routing not persisted: %+v", j)
+			if e.Worker != "w1" || e.Remote == "" {
+				t.Fatalf("routing not journaled: %+v", e)
 			}
 		}
 	}
 	if !foundSlow {
-		t.Fatalf("unsettled job %s missing from checkpoint", sv.ID)
+		t.Fatalf("unsettled job %s missing from the journal", sv.ID)
 	}
 
-	ts1.Close()
-	coord1.Close()
-
-	coord2 := mk()
+	coord2 := mk(jl2)
 	defer coord2.Close()
+	n, err := coord2.Replay(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("replayed %d jobs, want only the unsettled one", n)
+	}
 	if got := coord2.workerURL("w1"); got != w1.ts.URL {
 		t.Fatalf("restored worker URL %q, want %q", got, w1.ts.URL)
 	}
@@ -581,14 +614,150 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if nv.ID == sv.ID || nv.ID == fv.ID {
 		t.Fatalf("restored coordinator reissued ID %s", nv.ID)
 	}
+	if st := coord2.Stats(); st.Journal == nil || st.Journal.Replayed != 1 || st.Journal.Lag != 0 {
+		t.Fatalf("journal stats after replay %+v, want replayed 1 and lag 0", st.Journal)
+	}
 
-	// Corrupt checkpoints must refuse to restore, not silently forget.
-	bad := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+	// Corrupt journals must refuse to replay, not silently forget.
+	for name, corrupt := range map[string]func(*journal.Journal) error{
+		"snapshot": func(jl *journal.Journal) error { return jl.Compact([]byte("{not json")) },
+		"record":   func(jl *journal.Journal) error { return jl.Append(recDispatch, []byte("{not json")) },
+	} {
+		cdir := t.TempDir()
+		jl, _ := openCoordJournal(t, cdir)
+		if err := corrupt(jl); err != nil {
+			t.Fatal(err)
+		}
+		jl.Close()
+		jl, rec := openCoordJournal(t, cdir)
+		c := mk(jl)
+		_, err := c.Replay(rec)
+		c.Close()
+		if err == nil {
+			t.Fatalf("corrupt %s replayed", name)
+		}
+	}
+}
+
+// TestRestartForgetsRunJobCells: the sweep-cell jobs of RunJob are
+// not journaled — no client holds their IDs, and the sweep journal
+// re-runs unfinished cells itself — so a coordinator restarted with
+// one in flight restores no reservation nobody will release: once the
+// worker goes idle, the tenant and worker gauges read zero.
+func TestRestartForgetsRunJobCells(t *testing.T) {
+	dir := t.TempDir()
+	proc, err := core.NewCompactProcessor(2, 2, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, CheckpointPath: bad}); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	jl1, _ := openCoordJournal(t, dir)
+	coord1, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, Journal: jl1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := newTestWorker(t, 1, serve.Config{Shards: 1})
+	coord1.Register("w1", w1.ts.URL)
+	ctx, cancel := context.WithCancel(context.Background())
+	req := runJobReq(t, ghzBody(20000, 3))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		coord1.RunJob(ctx, nil, req)
+	}()
+	defer func() { cancel(); <-done }()
+	// Crash once the dispatch is assigned: that is when a journaled
+	// job's record lands.
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		coord1.mu.Lock()
+		assigned := len(coord1.workers["w1"].assigned)
+		coord1.mu.Unlock()
+		if assigned == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("RunJob never reached w1")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	coord1.Close()
+	jl1.Close()
+
+	jl2, rec := openCoordJournal(t, dir)
+	coord2, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, Journal: jl2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if n, err := coord2.Replay(rec); err != nil || n != 0 {
+		t.Fatalf("replayed %d jobs (err %v), want none", n, err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st := w1.svc.Stats(); st.Running == 0 && st.Queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never went idle")
+		}
+	}
+	st := coord2.Stats()
+	if len(st.Workers) != 1 || st.Workers[0].ID != "w1" || st.Workers[0].Assigned != 0 {
+		t.Fatalf("restored workers %+v, want w1 with nothing assigned", st.Workers)
+	}
+	anon := st.Tenants[len(st.Tenants)-1]
+	if anon.QueuedJobs != 0 || anon.RunningJobs != 0 || anon.InflightShots != 0 {
+		t.Fatalf("restart left a reservation behind: %+v", anon)
+	}
+}
+
+// TestCoordinatorJournalFailureIsLoud: a submission the coordinator
+// cannot journal is refused with 503 unavailable, and the failed
+// append is counted in /v1/stats and on /metrics.
+func TestCoordinatorJournalFailureIsLoud(t *testing.T) {
+	proc, err := core.NewCompactProcessor(2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, _ := openCoordJournal(t, t.TempDir())
+	coord, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, Journal: jl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.Register("w1", newTestWorker(t, 1, serve.Config{}).ts.URL)
+	ts := httptest.NewServer(Handler(coord))
+	defer ts.Close()
+	if v, status := postJob(t, ts.URL, ghzBody(16, 1), true); status != http.StatusOK || v.State != "done" {
+		t.Fatalf("journaled submit: status %d view %+v", status, v)
+	}
+	before := coord.Stats().Journal.Failures
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(ghzBody(16, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	det, ok := httpapi.Decode(body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !ok || det.Code != httpapi.CodeUnavailable {
+		t.Fatalf("status %d body %s, want 503 %s", resp.StatusCode, body, httpapi.CodeUnavailable)
+	}
+	st := coord.Stats()
+	if st.Journal.Failures <= before || st.Journal.Lag != 0 {
+		t.Fatalf("journal stats %+v, want failures above %d and no lag", st.Journal, before)
+	}
+	if anon := st.Tenants[len(st.Tenants)-1]; anon.QueuedJobs != 0 || anon.InflightShots != 0 {
+		t.Fatalf("refused submission left a reservation: %+v", anon)
+	}
+	var b metrics.Buffer
+	coord.WriteMetrics(&b)
+	var out strings.Builder
+	if _, err := b.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nquditd_journal_failures_total %d\n", st.Journal.Failures); !strings.Contains(out.String(), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, out.String())
 	}
 }
 
@@ -682,7 +851,7 @@ func buildQuditd(t *testing.T) string {
 
 // TestChaosProcessFleet runs the crash scenarios against real quditd
 // processes via chaos.Fleet: kill -9 the coordinator mid-queue and
-// restart it from its checkpoint, then kill -9 a worker and join a
+// restart it from its journal, then kill -9 a worker and join a
 // fresh one during a running sweep — all results byte-identical to the
 // in-process standalone references, zero jobs or cells dropped.
 func TestChaosProcessFleet(t *testing.T) {
@@ -704,10 +873,10 @@ func TestChaosProcessFleet(t *testing.T) {
 		return a
 	}
 	pc, p1, p2, p3 := addr(), addr(), addr(), addr()
-	ckpt := filepath.Join(t.TempDir(), "coord.ckpt")
+	jdir := t.TempDir()
 
 	coordArgs := []string{"-addr", pc, "-role", "coordinator", "-seed", "1",
-		"-checkpoint", ckpt, "-heartbeat-ttl", "2s"}
+		"-journal", jdir, "-heartbeat-ttl", "2s"}
 	workerArgs := func(addr, id string) []string {
 		return []string{"-addr", addr, "-role", "worker", "-coordinator", "http://" + pc,
 			"-id", id, "-heartbeat", "200ms", "-seed", "1", "-shards", "1"}
@@ -752,7 +921,7 @@ func TestChaosProcessFleet(t *testing.T) {
 	}
 	waitWorkers(2)
 
-	// Phase 1: coordinator kill -9 mid-queue, restart from checkpoint.
+	// Phase 1: coordinator kill -9 mid-queue, restart from its journal.
 	var ids []string
 	var bodies []string
 	for i := int64(0); i < 3; i++ {

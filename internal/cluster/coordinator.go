@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"quditkit/internal/core"
+	"quditkit/internal/journal"
 	"quditkit/internal/serve"
 	"quditkit/internal/tenant"
 )
@@ -73,12 +74,12 @@ type CoordinatorConfig struct {
 	// round, capped at 1s, with ±50% jitter so a thundering herd of
 	// requeues does not re-converge on one worker. Default 50ms.
 	DispatchBackoff time.Duration
-	// CheckpointPath, when non-empty, persists the coordinator's
-	// recoverable state — registered workers, unsettled job records,
-	// and the ID counter — to this file (atomic tmp+rename on every
-	// mutation). NewCoordinator restores from it, so a restarted
-	// coordinator replays its fleet instead of forgetting it.
-	CheckpointPath string
+	// Journal, when non-nil, makes the fleet durable: every worker
+	// registration and departure, every dispatch of a job a client
+	// holds an ID for, and every settlement of one appends a small
+	// record, and Replay restores registered workers, unsettled jobs
+	// and the ID counter after a restart. Nil disables durability.
+	Journal *journal.Journal
 	// Client is the HTTP client used for worker traffic; nil selects a
 	// client bounded by ControlTimeout. Event streams and ?wait=1
 	// proxies use a timeout-free copy so long waits are bounded by the
@@ -156,6 +157,11 @@ type jobRecord struct {
 	// untenanted); shots is the reservation released at settlement.
 	acct  *tenant.Account
 	shots int
+	// durable marks a job a client holds an ID for (an HTTP
+	// submission, not a sweep cell of RunJob): only those are
+	// journaled, from the first dispatch a worker accepts to their
+	// settlement.
+	durable bool
 
 	mu sync.Mutex
 	// reserved marks an admission reservation held by this record;
@@ -202,10 +208,10 @@ type Coordinator struct {
 	settledOrder []string
 	nextID       uint64
 	closed       bool
-
-	// ckptMu serializes checkpoint snapshots+writes so the file on
-	// disk never regresses to a stale snapshot.
-	ckptMu sync.Mutex
+	// journalLag counts journaled jobs not yet settled;
+	// journalReplayed is the count Replay restored at startup.
+	journalLag      int
+	journalReplayed int
 
 	stopMonitor chan struct{}
 	monitorDone chan struct{}
@@ -233,11 +239,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		workers:  make(map[string]*workerNode),
 		ring:     NewRing(cfg.VNodes),
 		jobs:     make(map[string]*jobRecord),
-	}
-	if cfg.CheckpointPath != "" {
-		if err := c.restore(); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.MonitorInterval > 0 {
 		c.stopMonitor = make(chan struct{})
@@ -294,8 +295,8 @@ func (c *Coordinator) Register(id, url string) {
 	n.draining = false
 	n.lastBeat = c.cfg.now()
 	c.ring.Add(id)
+	_ = c.journalLocked(recWorkerJoin, entry{ID: id, URL: url})
 	c.mu.Unlock()
-	c.checkpoint()
 }
 
 // Heartbeat refreshes a worker's liveness clock; false reports an
@@ -333,13 +334,11 @@ func (c *Coordinator) CheckWorkers(now time.Time) []string {
 		}
 		c.ring.Remove(id)
 		delete(c.workers, id)
+		_ = c.journalLocked(recWorkerLeave, entry{ID: id})
 	}
 	c.mu.Unlock()
 	for _, o := range orphaned {
 		c.requeue(o.rec, o.worker)
-	}
-	if len(dead) > 0 {
-		c.checkpoint()
 	}
 	return dead
 }
@@ -389,8 +388,10 @@ func (c *Coordinator) requeue(rec *jobRecord, failed string) {
 }
 
 // settle records a job's terminal view exactly once, releases its
-// payload and the tenant's admission reservation, and removes it from
-// its worker's assigned set.
+// payload and the tenant's admission reservation, removes it from its
+// worker's assigned set, and journals the settlement of a journaled
+// job. A lost settle record costs at most one deterministic
+// re-dispatch after a restart, so an append failure is only counted.
 func (c *Coordinator) settle(rec *jobRecord, view *JobView) {
 	rec.mu.Lock()
 	if rec.settled != nil {
@@ -415,6 +416,10 @@ func (c *Coordinator) settle(rec *jobRecord, view *JobView) {
 	}
 	c.settled.Add(1)
 	c.mu.Lock()
+	if rec.durable && worker != "" {
+		_ = c.journalLocked(recSettle, entry{ID: rec.id})
+		c.journalLag--
+	}
 	if n := c.workers[worker]; n != nil {
 		delete(n.assigned, rec.id)
 	}
@@ -426,24 +431,43 @@ func (c *Coordinator) settle(rec *jobRecord, view *JobView) {
 		}
 	}
 	c.mu.Unlock()
-	c.checkpoint()
+	c.maybeCompact()
 }
 
-// assign points a record at a worker, maintaining the assigned sets.
-// It refuses (returning false, record untouched) when the worker has
-// vanished or started draining since the caller picked it: its drain
-// snapshot has already been taken, so a record assigned now would
-// never be collected or requeued — the caller must treat the dispatch
-// as failed and try the next candidate.
-func (c *Coordinator) assign(rec *jobRecord, workerID, remoteID string) bool {
+// assign points a record at a worker, maintaining the assigned sets,
+// and journals the routing of a journaled job. It refuses (record
+// untouched) when the worker has vanished or started draining since
+// the caller picked it: its drain snapshot has already been taken, so
+// a record assigned now would never be collected or requeued — the
+// caller must treat the dispatch as failed and try the next candidate.
+// A job's first dispatch record is what makes it durable, so failing
+// to append that one refuses the job with serve.ErrNotDurable; a later
+// routing change that fails to append only costs a requeue after a
+// restart, and is counted by the journal.
+func (c *Coordinator) assign(rec *jobRecord, workerID, remoteID string) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := c.workers[workerID]
 	if n == nil || n.draining {
-		c.mu.Unlock()
-		return false
+		return fmt.Errorf("cluster: worker %s left the fleet mid-dispatch", workerID)
 	}
 	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	old := rec.workerID
+	if rec.durable && rec.settled == nil {
+		e := entry{ID: rec.id, Requeues: rec.requeues}
+		if old == "" {
+			e = rec.entryLocked()
+		}
+		e.Worker, e.Remote = workerID, remoteID
+		err := c.journalLocked(recDispatch, e)
+		if old == "" {
+			if err != nil {
+				return fmt.Errorf("%w: journaling dispatch: %w", serve.ErrNotDurable, err)
+			}
+			c.journalLag++
+		}
+	}
 	rec.workerID, rec.remoteID = workerID, remoteID
 	// First successful dispatch is the queued→running transition for
 	// the tenant's gauges; requeues re-assign without re-starting.
@@ -451,16 +475,13 @@ func (c *Coordinator) assign(rec *jobRecord, workerID, remoteID string) bool {
 		rec.started = true
 		rec.acct.JobStarted()
 	}
-	rec.mu.Unlock()
 	if old != "" && old != workerID {
 		if prev := c.workers[old]; prev != nil {
 			delete(prev.assigned, rec.id)
 		}
 	}
 	n.assigned[rec.id] = rec
-	c.mu.Unlock()
-	c.checkpoint()
-	return true
+	return nil
 }
 
 // workerURL resolves a worker's base URL ("" when unknown).
@@ -579,13 +600,16 @@ func (c *Coordinator) dispatchOnce(rec *jobRecord, exclude string) (serve.JobVie
 				lastErr = fmt.Errorf("cluster: decoding worker response: %w", err)
 				continue
 			}
-			if !c.assign(rec, w.id, view.ID) {
+			if err := c.assign(rec, w.id, view.ID); err != nil {
 				// The worker vanished or began draining between the
-				// candidate snapshot and the assignment; it accepted
-				// the job but nothing would ever collect it. Treat
-				// this as a failed dispatch and move on — the stray
+				// candidate snapshot and the assignment, or the job
+				// could not be made durable; the worker accepted it
+				// but nothing would ever collect it. The stray
 				// execution is harmless (deterministic, cache-keyed).
-				lastErr = fmt.Errorf("cluster: worker %s left the fleet mid-dispatch", w.id)
+				if errors.Is(err, serve.ErrNotDurable) {
+					return serve.JobView{}, permanentError{err}
+				}
+				lastErr = err
 				continue
 			}
 			if i > 0 {
@@ -622,9 +646,10 @@ func (c *Coordinator) Tenants() *tenant.Registry { return c.cfg.Tenants }
 // admit validates a request against the coordinator's processor,
 // reserves the tenant's job and shot quota, and registers the job
 // record — the single admission point shared by RunJob and the HTTP
-// edge. On success the returned record holds the reservation until
-// settlement (or releaseFailed after a dispatch that never started).
-func (c *Coordinator) admit(acct *tenant.Account, payload []byte, req serve.JobRequest) (*jobRecord, error) {
+// edge, which alone admits durable jobs. On success the returned
+// record holds the reservation until settlement (or releaseFailed
+// after a dispatch that never started).
+func (c *Coordinator) admit(acct *tenant.Account, payload []byte, req serve.JobRequest, durable bool) (*jobRecord, error) {
 	if acct == nil {
 		acct = c.anon
 	}
@@ -654,6 +679,7 @@ func (c *Coordinator) admit(acct *tenant.Account, payload []byte, req serve.JobR
 		key:      key,
 		acct:     acct,
 		shots:    shots,
+		durable:  durable,
 		payload:  payload,
 		reserved: true,
 	}
@@ -691,7 +717,7 @@ func (c *Coordinator) RunJob(ctx context.Context, acct *tenant.Account, req serv
 	if err != nil {
 		return serve.JobView{}, fmt.Errorf("cluster: encoding job: %w", err)
 	}
-	rec, err := c.admit(acct, payload, req)
+	rec, err := c.admit(acct, payload, req, false)
 	if err != nil {
 		return serve.JobView{}, err
 	}
@@ -774,6 +800,7 @@ func stateTerminal(state string) bool {
 func (c *Coordinator) Stats() Stats {
 	now := c.cfg.now()
 	c.mu.Lock()
+	js := c.cfg.Journal.Status(c.journalLag, int64(c.journalReplayed))
 	rows := make([]WorkerStats, 0, len(c.workers))
 	urls := make([]string, 0, len(c.workers))
 	for _, n := range c.workers {
@@ -822,6 +849,7 @@ func (c *Coordinator) Stats() Stats {
 		Settled:        c.settled.Load(),
 		HeartbeatTTLMS: c.cfg.HeartbeatTTL.Milliseconds(),
 		Tenants:        c.tenantUsage(),
+		Journal:        js,
 	}
 }
 

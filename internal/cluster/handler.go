@@ -83,7 +83,8 @@ func (c *Coordinator) recordFor(id string, acct *tenant.Account) (*jobRecord, er
 
 // writeClusterError maps a coordinator error onto the structured
 // envelope: quota breaches and fleet-wide backpressure are 429 with
-// Retry-After, an empty (or closed) fleet 503, unknown jobs 404,
+// Retry-After, an empty (or closed) fleet and a job the journal
+// cannot record 503, unknown jobs 404,
 // expired contexts 504, and anything else a 502 naming the upstream
 // failure.
 func writeClusterError(w http.ResponseWriter, err error) {
@@ -94,7 +95,7 @@ func writeClusterError(w http.ResponseWriter, err error) {
 	case errors.Is(err, serve.ErrQueueFull):
 		httpapi.WriteError(w, http.StatusTooManyRequests, httpapi.CodeQueueFull,
 			err.Error(), serve.RetryAfterQueueFull)
-	case errors.Is(err, ErrNoWorkers):
+	case errors.Is(err, ErrNoWorkers), errors.Is(err, serve.ErrNotDurable):
 		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable, err.Error(), 0)
 	case errors.Is(err, ErrUnknownJob):
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error(), 0)
@@ -127,7 +128,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"decoding request: "+err.Error(), 0)
 		return
 	}
-	rec, err := c.admit(acct, payload, req)
+	rec, err := c.admit(acct, payload, req, true)
 	if err != nil {
 		switch {
 		case errors.Is(err, tenant.ErrQuotaExceeded), errors.Is(err, ErrNoWorkers):
@@ -511,6 +512,7 @@ func (c *Coordinator) Drain(id string) (collected, requeued int, err error) {
 	}
 	n.draining = true
 	c.ring.Remove(id)
+	_ = c.journalLocked(recWorkerLeave, entry{ID: id})
 	url := n.url
 	pending := make([]*jobRecord, 0, len(n.assigned))
 	for _, rec := range n.assigned {
@@ -536,7 +538,6 @@ func (c *Coordinator) Drain(id string) (collected, requeued int, err error) {
 	c.mu.Lock()
 	delete(c.workers, id)
 	c.mu.Unlock()
-	c.checkpoint()
 	return collected, requeued, nil
 }
 

@@ -13,6 +13,7 @@ import (
 func (c *Coordinator) WriteMetrics(b *metrics.Buffer) {
 	now := c.cfg.now()
 	c.mu.Lock()
+	js := c.cfg.Journal.Status(c.journalLag, int64(c.journalReplayed))
 	workers, alive, draining, assigned := 0, 0, 0, 0
 	for _, n := range c.workers {
 		workers++
@@ -43,5 +44,6 @@ func (c *Coordinator) WriteMetrics(b *metrics.Buffer) {
 	b.Family("quditd_cluster_settled_total", "Jobs with a terminal view recorded.", metrics.Counter).
 		Add(float64(c.settled.Load()))
 
+	js.WriteMetrics(b, serve.JobJournalFamily)
 	serve.WriteTenantMetrics(b, c.tenantUsage())
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"quditkit/internal/journal"
 	"quditkit/internal/serve"
 	"quditkit/internal/tenant"
 )
@@ -120,4 +121,8 @@ type Stats struct {
 	// order, anonymous last); omitted when no registry is configured
 	// and nothing anonymous has been metered.
 	Tenants []tenant.Usage `json:"tenants,omitempty"`
+	// Journal carries the coordinator journal's gauges, the block a
+	// standalone node serves; nil when the coordinator runs without a
+	// journal.
+	Journal *journal.Status `json:"journal,omitempty"`
 }

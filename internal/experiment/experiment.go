@@ -102,11 +102,8 @@ func (c Config) withDefaults() Config {
 	case c.RetainSweeps < 0:
 		c.RetainSweeps = 0 // unlimited
 	}
-	switch {
-	case c.JournalCompactEvery == 0:
+	if c.JournalCompactEvery == 0 {
 		c.JournalCompactEvery = 512
-	case c.JournalCompactEvery < 0:
-		c.JournalCompactEvery = int(^uint(0) >> 1) // never
 	}
 	return c
 }

@@ -153,22 +153,7 @@ func (m *Manager) WriteMetrics(b *metrics.Buffer) {
 	b.Family("quditd_sweeps_running", "Sweeps currently running.", metrics.Gauge).
 		Add(float64(running))
 
-	if js := m.JournalStats(); js != nil {
-		b.Family("quditd_sweep_journal_wal_bytes", "Sweep write-ahead log size.", metrics.Gauge).
-			Add(float64(js.WALBytes))
-		b.Family("quditd_sweep_journal_tail_records", "Sweep WAL records not yet folded into a snapshot.", metrics.Gauge).
-			Add(float64(js.TailRecords))
-		b.Family("quditd_sweep_journal_lag", "Journaled sweeps not yet settled.", metrics.Gauge).
-			Add(float64(js.Lag))
-		b.Family("quditd_sweep_journal_appends_total", "Sweep journal records fsynced.", metrics.Counter).
-			Add(float64(js.Appends))
-		b.Family("quditd_sweep_journal_compactions_total", "Sweep journal snapshot rewrites.", metrics.Counter).
-			Add(float64(js.Compactions))
-		b.Family("quditd_sweep_journal_failures_total", "Sweep journal appends and compactions that failed.", metrics.Counter).
-			Add(float64(js.Failures))
-		b.Family("quditd_sweep_journal_replayed", "Sweeps resumed from the journal at startup.", metrics.Gauge).
-			Add(float64(js.Replayed))
-	}
+	m.JournalStats().WriteMetrics(b, sweepJournalFamily)
 }
 
 // checkOwner verifies the sweep exists and belongs to acct. With a

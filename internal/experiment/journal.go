@@ -49,8 +49,8 @@ type cellSettleRecord struct {
 }
 
 // sweepSettleRecord marks a journaled sweep as terminal; replay skips
-// it (settled sweep views are deliberately not durable — like the
-// cluster checkpoint, results are reproducible on demand).
+// it (settled sweep views are deliberately not durable — like settled
+// coordinator jobs, results are reproducible on demand).
 type sweepSettleRecord struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
@@ -59,9 +59,8 @@ type sweepSettleRecord struct {
 // sweepSnapshot is the compacted journal state: the ID counter plus
 // every unsettled sweep with its request and already-settled cells.
 type sweepSnapshot struct {
-	Version int              `json:"version"`
-	NextID  uint64           `json:"next_id"`
-	Sweeps  []sweepSnapEntry `json:"sweeps"`
+	journal.Header
+	Sweeps []sweepSnapEntry `json:"sweeps"`
 }
 
 // sweepSnapEntry is one unsettled sweep in the snapshot.
@@ -72,33 +71,22 @@ type sweepSnapEntry struct {
 	Cells   []cellSettleRecord `json:"cells,omitempty"`
 }
 
-// JournalStats extends the raw journal gauges with the manager-level
-// view, injected as the "sweep_journal" block of GET /v1/stats.
-type JournalStats struct {
-	journal.Stats
-	// Lag counts journaled sweeps not yet settled — the sweeps a crash
-	// right now would resume on restart.
-	Lag int `json:"lag"`
-	// Replayed counts sweeps this process resumed from the journal at
-	// startup.
-	Replayed int64 `json:"replayed"`
+// sweepJournalFamily names the sweeps journal's /metrics families.
+var sweepJournalFamily = journal.Family{
+	Prefix:   "quditd_sweep_journal",
+	Subject:  "Sweep",
+	Lag:      "Journaled sweeps not yet settled.",
+	Replayed: "Sweeps resumed from the journal at startup.",
 }
 
-// JournalStats returns the sweep journal gauges, or nil when the
-// manager runs without a journal.
-func (m *Manager) JournalStats() *JournalStats {
-	jl := m.cfg.Journal
-	if jl == nil {
-		return nil
-	}
+// JournalStats returns the sweep journal gauges, injected as the
+// "sweep_journal" block of GET /v1/stats, or nil when the manager runs
+// without a journal.
+func (m *Manager) JournalStats() *journal.Status {
 	m.mu.Lock()
 	lag := len(m.journaled)
 	m.mu.Unlock()
-	return &JournalStats{
-		Stats:    jl.Stats(),
-		Lag:      lag,
-		Replayed: m.journalReplayed.Load(),
-	}
+	return m.cfg.Journal.Status(lag, m.journalReplayed.Load())
 }
 
 // settleRecordLocked renders a cell's durable settlement record; the
@@ -157,11 +145,9 @@ func (m *Manager) journalSweepSettle(s *sweep, state string) {
 // the configured threshold. A failed compaction leaves the WAL intact,
 // so it only delays the next snapshot; the journal counts it.
 func (m *Manager) maybeCompact() {
-	jl := m.cfg.Journal
-	if jl == nil || jl.Stats().TailRecords < m.cfg.JournalCompactEvery {
-		return
+	if jl := m.cfg.Journal; jl != nil && jl.CompactDue(m.cfg.JournalCompactEvery) {
+		_ = m.compactJournal()
 	}
-	_ = m.compactJournal()
 }
 
 // compactJournal folds the manager's durable state into a journal
@@ -178,7 +164,7 @@ func (m *Manager) compactJournal() error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := sweepSnapshot{Version: sweepSnapshotVersion, NextID: m.nextID}
+	snap := sweepSnapshot{Header: journal.Header{Version: sweepSnapshotVersion, NextID: m.nextID}}
 	for id, s := range m.journaled {
 		entry := sweepSnapEntry{ID: id, Request: s.reqJSON}
 		if s.acct != nil && s.acct != m.anon {
@@ -221,14 +207,7 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 		return 0, errors.New("experiment: Replay requires Config.Journal")
 	}
 
-	maxID := uint64(0)
-	noteID := func(id string) {
-		var n uint64
-		if _, err := fmt.Sscanf(id, "s-%d", &n); err == nil && n > maxID {
-			maxID = n
-		}
-	}
-
+	ids := journal.Counter{Prefix: "s-"}
 	type pendingSweep struct {
 		id     string
 		req    json.RawMessage
@@ -248,16 +227,11 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 
 	if rec.Snapshot != nil {
 		var snap sweepSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return 0, fmt.Errorf("experiment: corrupt journal snapshot: %w", err)
+		h, err := journal.DecodeSnapshot(rec.Snapshot, sweepSnapshotVersion, &snap)
+		if err != nil {
+			return 0, fmt.Errorf("experiment: %w", err)
 		}
-		if snap.Version != sweepSnapshotVersion {
-			return 0, fmt.Errorf("experiment: journal snapshot is version %d, this build speaks %d",
-				snap.Version, sweepSnapshotVersion)
-		}
-		if snap.NextID > maxID {
-			maxID = snap.NextID
-		}
+		ids.Max = h.NextID
 		for _, e := range snap.Sweeps {
 			add(e.ID, e.Request, e.Tenant, e.Cells)
 		}
@@ -270,7 +244,7 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 			if err := json.Unmarshal(r.Payload, &ar); err != nil {
 				return 0, fmt.Errorf("experiment: corrupt sweep admit record: %w", err)
 			}
-			noteID(ar.ID)
+			ids.Note(ar.ID)
 			add(ar.ID, ar.Request, ar.Tenant, nil)
 		case recCellSettle:
 			var cr cellSettleRecord
@@ -287,7 +261,7 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 			if err := json.Unmarshal(r.Payload, &sr); err != nil {
 				return 0, fmt.Errorf("experiment: corrupt sweep settle record: %w", err)
 			}
-			noteID(sr.ID)
+			ids.Note(sr.ID)
 			settled[sr.ID] = true
 		default:
 			return 0, fmt.Errorf("experiment: unknown journal record kind %d", r.Kind)
@@ -296,7 +270,7 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 
 	var resumed []*sweep
 	for _, ps := range ordered {
-		noteID(ps.id)
+		ids.Note(ps.id)
 		if settled[ps.id] {
 			continue
 		}
@@ -308,20 +282,11 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("experiment: journaled request for %s does not expand: %w", ps.id, err)
 		}
-		// Resolve the recorded tenant; a name absent from the current
-		// registry (tenant removed across the restart) falls back to the
-		// anonymous account — accepted work is never dropped on replay.
-		acct := m.anon
-		if ps.tenant != "" && m.cfg.Tenants != nil {
-			if a, ok := m.cfg.Tenants.ByName(ps.tenant); ok {
-				acct = a
-			}
-		}
 		s := &sweep{
 			id:      ps.id,
 			kind:    exp.kind,
 			agg:     exp.agg,
-			acct:    acct,
+			acct:    m.cfg.Tenants.Resolve(ps.tenant, m.anon),
 			state:   SweepRunning,
 			doneCh:  make(chan struct{}),
 			reqJSON: ps.req,
@@ -372,9 +337,7 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 		m.mu.Unlock()
 		return 0, ErrManagerClosed
 	}
-	if maxID > m.nextID {
-		m.nextID = maxID
-	}
+	m.nextID = max(m.nextID, ids.Max)
 	for _, s := range resumed {
 		m.sweeps[s.id] = s
 		m.journaled[s.id] = s

@@ -290,7 +290,7 @@ func TestStatsInjection(t *testing.T) {
 	if string(got["enqueued"]) != "7" || string(got["cache_hits"]) != "3" {
 		t.Fatalf("base fields disturbed: %v", got)
 	}
-	var js JournalStats
+	var js journal.Status
 	if err := json.Unmarshal(got["sweep_journal"], &js); err != nil {
 		t.Fatalf("sweep_journal block missing or invalid: %v", err)
 	}

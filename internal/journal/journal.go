@@ -26,8 +26,11 @@
 //     exists to prevent.
 //
 // The package stores opaque payload bytes and a one-byte record kind;
-// schema and replay semantics belong to the consumer (see
-// internal/serve and internal/experiment).
+// schema and replay semantics belong to the consumer (internal/serve's
+// jobs, internal/experiment's sweeps, internal/cluster's coordinator).
+// What the consumers share — the snapshot header and version check, ID
+// resumption, the compaction trigger, and the gauges served on
+// /v1/stats and /metrics — lives in consumer.go.
 package journal
 
 import (

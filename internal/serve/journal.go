@@ -49,21 +49,16 @@ type jobSettleRecord struct {
 // jobSnapshot is the compacted journal state: the ID counter plus every
 // journaled job not yet settled at compaction time.
 type jobSnapshot struct {
-	Version int              `json:"version"`
-	NextID  uint64           `json:"next_id"`
-	Jobs    []jobAdmitRecord `json:"jobs"`
+	journal.Header
+	Jobs []jobAdmitRecord `json:"jobs"`
 }
 
-// JournalStats extends the raw journal gauges with the service-level
-// view, served as the "journal" block of GET /v1/stats.
-type JournalStats struct {
-	journal.Stats
-	// Lag counts journaled jobs not yet settled — the work a crash
-	// right now would replay on restart.
-	Lag int `json:"lag"`
-	// Replayed counts jobs this process restored from the journal at
-	// startup.
-	Replayed int64 `json:"replayed"`
+// JobJournalFamily names the jobs journal's /metrics families, served
+// alike by a standalone node, a worker and a coordinator.
+var JobJournalFamily = journal.Family{
+	Prefix:   "quditd_journal",
+	Lag:      "Journaled jobs not yet settled.",
+	Replayed: "Jobs restored from the journal at startup.",
 }
 
 // EnqueueJournaled is Enqueue for submissions that must survive a
@@ -85,7 +80,7 @@ func (s *Service) EnqueueJournaled(acct *tenant.Account, payload []byte, c *circ
 // entered with s.mu held (and released on every return) after the
 // capacity check and the tenant quota reservation both passed.
 // Because all queue pushes happen under s.mu, that capacity check
-// makes the later forcePush safe, so the order is: fsync the admit
+// makes the later push safe, so the order is: fsync the admit
 // record, then the guaranteed push — a job is never runnable before
 // it is durable, and never durable-then-dropped. A journal failure
 // unwinds the tenant reservation.
@@ -109,7 +104,7 @@ func (s *Service) admitJournaledLocked(sh *shardQueue, j *job, payload []byte) (
 	s.journaled[id] = journaledJob{payload: payload, tenant: rec.Tenant}
 	s.queuedGauge.Add(1)
 	s.journalLag.Add(1)
-	sh.forcePush(j)
+	sh.push(j)
 	s.mu.Unlock()
 	s.enqueued.Add(1)
 	return id, nil
@@ -140,7 +135,7 @@ func (s *Service) journalSettle(id JobID, state JobState) {
 	// Until its settle record is appended, a crash would replay the
 	// job, so it counts as lag until then.
 	s.journalLag.Add(-1)
-	if jl.Stats().TailRecords >= s.cfg.JournalCompactEvery {
+	if jl.CompactDue(s.cfg.JournalCompactEvery) {
 		_ = s.compactJournal()
 	}
 }
@@ -159,7 +154,7 @@ func (s *Service) compactJournal() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := jobSnapshot{Version: jobSnapshotVersion, NextID: s.nextID}
+	snap := jobSnapshot{Header: journal.Header{Version: jobSnapshotVersion, NextID: s.nextID}}
 	for id, jj := range s.journaled {
 		snap.Jobs = append(snap.Jobs, jobAdmitRecord{ID: string(id), Tenant: jj.tenant, Payload: jj.payload})
 	}
@@ -193,27 +188,15 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 		return 0, errors.New("serve: Replay requires Config.Journal")
 	}
 
-	maxID := uint64(0)
-	noteID := func(id string) {
-		var n uint64
-		if _, err := fmt.Sscanf(id, "j-%d", &n); err == nil && n > maxID {
-			maxID = n
-		}
-	}
-
+	ids := journal.Counter{Prefix: "j-"}
 	var ordered []jobAdmitRecord
 	if rec.Snapshot != nil {
 		var snap jobSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return 0, fmt.Errorf("serve: corrupt journal snapshot: %w", err)
+		h, err := journal.DecodeSnapshot(rec.Snapshot, jobSnapshotVersion, &snap)
+		if err != nil {
+			return 0, fmt.Errorf("serve: %w", err)
 		}
-		if snap.Version != jobSnapshotVersion {
-			return 0, fmt.Errorf("serve: journal snapshot is version %d, this build speaks %d",
-				snap.Version, jobSnapshotVersion)
-		}
-		if snap.NextID > maxID {
-			maxID = snap.NextID
-		}
+		ids.Max = h.NextID
 		ordered = append(ordered, snap.Jobs...)
 	}
 	settled := make(map[string]bool)
@@ -231,7 +214,7 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 				return 0, fmt.Errorf("serve: corrupt settle record: %w", err)
 			}
 			settled[sr.ID] = true
-			noteID(sr.ID)
+			ids.Note(sr.ID)
 		default:
 			return 0, fmt.Errorf("serve: unknown journal record kind %d", r.Kind)
 		}
@@ -250,7 +233,7 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 	seen := make(map[string]bool)
 	var pending []replayJob
 	for _, ar := range ordered {
-		noteID(ar.ID)
+		ids.Note(ar.ID)
 		if seen[ar.ID] || settled[ar.ID] {
 			continue
 		}
@@ -267,19 +250,10 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("serve: journaled options for %s do not resolve: %w", ar.ID, err)
 		}
-		// Restore the owning account so replay rebuilds per-tenant
-		// gauges. A name missing from the (possibly edited) registry
-		// falls back to anonymous: dropping attribution is recoverable,
-		// dropping the job is the failure mode the journal prevents.
-		acct := s.anon
-		if ar.Tenant != "" && s.cfg.Tenants != nil {
-			if a, ok := s.cfg.Tenants.ByName(ar.Tenant); ok {
-				acct = a
-			}
-		}
 		pending = append(pending, replayJob{id: JobID(ar.ID), tenant: ar.Tenant, payload: ar.Payload})
 		rj := &pending[len(pending)-1]
-		rj.j = newJob(circ, opts, acct)
+		// Restoring the owner rebuilds per-tenant gauges.
+		rj.j = newJob(circ, opts, s.cfg.Tenants.Resolve(ar.Tenant, s.anon))
 		rj.j.id, rj.j.reserved = rj.id, true
 		rj.j.ctx, rj.j.cancel = context.WithCancel(context.Background())
 	}
@@ -289,9 +263,7 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if maxID > s.nextID {
-		s.nextID = maxID
-	}
+	s.nextID = max(s.nextID, ids.Max)
 	for i := range pending {
 		rj := &pending[i]
 		s.jobs[rj.id] = rj.j
@@ -306,11 +278,11 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 	}
 	s.mu.Unlock()
 
-	// Feed the queues outside s.mu; forcePush never blocks, so a
+	// Feed the queues outside s.mu; push never blocks, so a
 	// replay wider than QueueDepth still completes (workers are
 	// already draining it).
 	for i := range pending {
-		pending[i].shard.forcePush(pending[i].j)
+		pending[i].shard.push(pending[i].j)
 		s.enqueued.Add(1)
 	}
 	s.journalReplayed.Store(int64(len(pending)))

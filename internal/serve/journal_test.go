@@ -184,8 +184,7 @@ func TestJournalReplaySkipsSettledBetweenSnapshotAndCrash(t *testing.T) {
 	dir := t.TempDir()
 	jl, _ := openJournal(t, dir)
 	snap, _ := json.Marshal(jobSnapshot{
-		Version: jobSnapshotVersion,
-		NextID:  2,
+		Header: journal.Header{Version: jobSnapshotVersion, NextID: 2},
 		Jobs: []jobAdmitRecord{
 			{ID: "j-000001", Payload: wirePayload(1, 64)},
 			{ID: "j-000002", Payload: wirePayload(2, 64)},

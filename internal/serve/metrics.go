@@ -44,22 +44,7 @@ func (s *Service) WriteMetrics(b *metrics.Buffer) {
 	b.Family("quditd_plan_cache_fused_plans_total", "Compiled plans with at least one fused gate run.", metrics.Counter).Add(float64(st.PlanCacheFusedPlans))
 	b.Family("quditd_plan_cache_fused_ops_total", "Logical ops absorbed into fused kernels.", metrics.Counter).Add(float64(st.PlanCacheFusedOps))
 
-	if st.Journal != nil {
-		b.Family("quditd_journal_wal_bytes", "Write-ahead log size.", metrics.Gauge).
-			Add(float64(st.Journal.WALBytes))
-		b.Family("quditd_journal_tail_records", "WAL records not yet folded into a snapshot.", metrics.Gauge).
-			Add(float64(st.Journal.TailRecords))
-		b.Family("quditd_journal_lag", "Journaled jobs not yet settled.", metrics.Gauge).
-			Add(float64(st.Journal.Lag))
-		b.Family("quditd_journal_appends_total", "Journal records fsynced.", metrics.Counter).
-			Add(float64(st.Journal.Appends))
-		b.Family("quditd_journal_compactions_total", "Journal snapshot rewrites.", metrics.Counter).
-			Add(float64(st.Journal.Compactions))
-		b.Family("quditd_journal_failures_total", "Journal appends and compactions that failed.", metrics.Counter).
-			Add(float64(st.Journal.Failures))
-		b.Family("quditd_journal_replayed", "Jobs restored from the journal at startup.", metrics.Gauge).
-			Add(float64(st.Journal.Replayed))
-	}
+	st.Journal.WriteMetrics(b, JobJournalFamily)
 
 	WriteTenantMetrics(b, st.Tenants)
 }

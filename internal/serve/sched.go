@@ -75,28 +75,12 @@ func (q *shardQueue) full() bool {
 	return q.depth >= q.cap
 }
 
-// push enqueues j if the queue is below capacity, reporting false
-// (and enqueueing nothing) when full.
-func (q *shardQueue) push(j *job) bool {
+// push enqueues j regardless of capacity: admission checks full()
+// under the service lock before it pushes, and replay must never drop
+// a previously accepted job.
+func (q *shardQueue) push(j *job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.depth >= q.cap {
-		return false
-	}
-	q.pushLocked(j)
-	return true
-}
-
-// forcePush enqueues j regardless of capacity — the journal paths,
-// where admission was decided (and fsynced) before the push, and
-// replay must never drop a previously accepted job.
-func (q *shardQueue) forcePush(j *job) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.pushLocked(j)
-}
-
-func (q *shardQueue) pushLocked(j *job) {
 	cl := q.classFor(j.acct.Priority())
 	f, ok := cl.byAcct[j.acct]
 	if !ok {

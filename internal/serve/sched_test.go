@@ -186,24 +186,24 @@ func TestFairnessP99QueueWait(t *testing.T) {
 	}
 }
 
-// TestShardQueueCapacity: push refuses beyond cap, forcePush (the
-// journal-replay path, where admission was fsynced pre-crash) does
-// not.
+// TestShardQueueCapacity: full() reports the admission bound, and a
+// push past it (the journal-replay path, where admission was fsynced
+// pre-crash) still enqueues. Admission's refusal at the bound is
+// TestServiceQueueFullBackpressure's.
 func TestShardQueueCapacity(t *testing.T) {
 	reg := schedRegistry(t)
 	light := mustAccount(t, reg, "light")
 	q := newShardQueue(3, 2)
-	if !q.push(qJob(light, 0)) || !q.push(qJob(light, 1)) {
-		t.Fatal("pushes under cap refused")
+	q.push(qJob(light, 0))
+	if q.full() {
+		t.Fatal("full() true under cap")
 	}
-	if q.push(qJob(light, 2)) {
-		t.Fatal("push beyond cap accepted")
-	}
+	q.push(qJob(light, 1))
 	if !q.full() {
 		t.Fatal("full() false at cap")
 	}
-	q.forcePush(qJob(light, 3))
+	q.push(qJob(light, 2))
 	if q.len() != 3 {
-		t.Fatalf("depth %d after forcePush, want 3", q.len())
+		t.Fatalf("depth %d after a push past cap, want 3", q.len())
 	}
 }

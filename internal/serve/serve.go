@@ -163,11 +163,8 @@ func (c Config) withDefaults() Config {
 	case c.RetainJobs < 0:
 		c.RetainJobs = 0 // unlimited
 	}
-	switch {
-	case c.JournalCompactEvery == 0:
+	if c.JournalCompactEvery == 0 {
 		c.JournalCompactEvery = 256
-	case c.JournalCompactEvery < 0:
-		c.JournalCompactEvery = int(^uint(0) >> 1) // never
 	}
 	return c
 }
@@ -234,7 +231,7 @@ type Stats struct {
 	Tenants []tenant.Usage `json:"tenants,omitempty"`
 	// Journal carries the write-ahead-log gauges (size, replay lag,
 	// compaction cadence); nil when the service runs without a journal.
-	Journal *JournalStats `json:"journal,omitempty"`
+	Journal *journal.Status `json:"journal,omitempty"`
 }
 
 // job is the internal record of one submission.
@@ -476,7 +473,7 @@ func (s *Service) enqueue(acct *tenant.Account, payload []byte, c *circuit.Circu
 	// the reject paths below cannot race a concurrent CancelJob and
 	// the gauges move exactly once per accepted job. All pushes happen
 	// under s.mu (workers only pop), so the capacity check here makes
-	// the later forcePush safe: depth can only shrink in between.
+	// the later push safe: depth can only shrink in between.
 	ctx, cancel := context.WithCancel(base)
 	j.ctx, j.cancel = ctx, cancel
 	s.mu.Lock()
@@ -502,7 +499,7 @@ func (s *Service) enqueue(acct *tenant.Account, payload []byte, c *circuit.Circu
 	}
 	id := s.issueIDLocked(j)
 	s.queuedGauge.Add(1)
-	sh.forcePush(j)
+	sh.push(j)
 	s.mu.Unlock()
 	// Counted only here and on the fast paths, so Enqueued reflects
 	// accepted submissions, never rejected ones.
@@ -606,14 +603,6 @@ func (s *Service) Stats() Stats {
 	fusedPlans, fusedOps := core.PlanCacheFusion()
 	queued := int(s.queuedGauge.Load())
 	running := int(s.runningGauge.Load())
-	var js *JournalStats
-	if s.cfg.Journal != nil {
-		js = &JournalStats{
-			Stats:    s.cfg.Journal.Stats(),
-			Lag:      int(s.journalLag.Load()),
-			Replayed: s.journalReplayed.Load(),
-		}
-	}
 	depths := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		depths[i] = sh.len()
@@ -640,7 +629,7 @@ func (s *Service) Stats() Stats {
 		QueueDepth:          s.cfg.QueueDepth,
 		ShardDepths:         depths,
 		Tenants:             s.tenantUsage(),
-		Journal:             js,
+		Journal:             s.cfg.Journal.Status(int(s.journalLag.Load()), s.journalReplayed.Load()),
 	}
 }
 

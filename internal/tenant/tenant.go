@@ -387,6 +387,19 @@ func (r *Registry) ByName(name string) (*Account, bool) {
 	return a, ok
 }
 
+// Resolve returns the account a journaled tenant name replays under:
+// the named tenant when r registers it, anon otherwise (an empty name,
+// no registry, or a tenant removed across the restart). Accepted work
+// is never dropped on replay; at worst it loses its attribution.
+func (r *Registry) Resolve(name string, anon *Account) *Account {
+	if r != nil {
+		if a, ok := r.byName[name]; ok {
+			return a
+		}
+	}
+	return anon
+}
+
 // Accounts returns the registry's accounts in file order. The slice
 // is shared; callers must not modify it.
 func (r *Registry) Accounts() []*Account { return r.accounts }
