@@ -65,15 +65,12 @@
 // With -journal DIR the daemon is crash-durable in every role: every
 // accepted job and sweep is recorded in a write-ahead journal
 // (internal/journal) before the submitter hears an ID, and every
-// settlement is recorded after. A restart on the same directory
-// replays unsettled work — jobs re-enter the queue under their
-// original IDs (on a coordinator: keep their routing, with the
-// registered workers), sweeps re-run only their unfinished cells —
-// before the listener opens, so clients that poll or stream by ID
-// resume where they left off. A corrupt journal (anything beyond a
-// torn final record) fails startup loudly rather than serving from
-// partial state. -checkpoint, the coordinator's former state file, is
-// still accepted and ignored.
+// settlement after. A restart on the same directory replays unsettled
+// work — jobs keep their IDs (and, on a coordinator, their routing),
+// sweeps re-run only their unfinished cells — before the listener
+// opens, so clients that poll or stream by ID resume where they left
+// off. A corrupt journal (anything beyond a torn final record) fails
+// startup loudly. The coordinator's former -checkpoint is ignored.
 package main
 
 import (
@@ -218,6 +215,22 @@ func openJournals(o options) (jobs, sweeps *journal.Journal, jobsRec, sweepsRec 
 	return jobs, sweeps, jobsRec, sweepsRec, nil
 }
 
+// replay restores one journal's unsettled work before the listener
+// opens; without -journal there is nothing to restore.
+func replay(o options, logger *log.Logger, what string, rec journal.Recovery, restore func(journal.Recovery) (int, error)) error {
+	if o.journal == "" {
+		return nil
+	}
+	n, err := restore(rec)
+	if err != nil {
+		return fmt.Errorf("replaying %s journal: %w", what, err)
+	}
+	if n > 0 {
+		logger.Printf("quditd %s replayed %d unsettled %s(s) from %s", o.role, n, what, o.journal)
+	}
+	return nil
+}
+
 // Connection bounds shared by every role's API server: a client must
 // finish its request headers within readHeaderTimeout, an idle
 // keep-alive connection closes after idleTimeout, and headers are
@@ -280,15 +293,9 @@ func runNode(ctx context.Context, o options, logger *log.Logger, ready chan<- ne
 	if err != nil {
 		return err
 	}
-	if jobsJournal != nil {
-		n, err := svc.Replay(jobsRec)
-		if err != nil {
-			svc.Close()
-			return fmt.Errorf("replaying job journal: %w", err)
-		}
-		if n > 0 {
-			logger.Printf("quditd replayed %d unsettled job(s) from %s", n, o.journal)
-		}
+	if err := replay(o, logger, "job", jobsRec, svc.Replay); err != nil {
+		svc.Close()
+		return err
 	}
 	mgr, err := experiment.NewManager(experiment.ServeRunner{Service: svc},
 		experiment.Config{Parallel: o.sweepParallel, Journal: sweepsJournal, Tenants: tenants})
@@ -296,16 +303,10 @@ func runNode(ctx context.Context, o options, logger *log.Logger, ready chan<- ne
 		svc.Close()
 		return err
 	}
-	if sweepsJournal != nil {
-		n, err := mgr.Replay(sweepsRec)
-		if err != nil {
-			mgr.Close()
-			svc.Close()
-			return fmt.Errorf("replaying sweep journal: %w", err)
-		}
-		if n > 0 {
-			logger.Printf("quditd resumed %d unsettled sweep(s) from %s", n, o.journal)
-		}
+	if err := replay(o, logger, "sweep", sweepsRec, mgr.Replay); err != nil {
+		mgr.Close()
+		svc.Close()
+		return err
 	}
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -424,31 +425,19 @@ func runCoordinator(ctx context.Context, o options, logger *log.Logger, ready ch
 	}
 	// Jobs first: the restored workers are where resumed sweeps
 	// dispatch their unfinished cells.
-	if jobsJournal != nil {
-		n, err := coord.Replay(jobsRec)
-		if err != nil {
-			coord.Close()
-			return fmt.Errorf("replaying job journal: %w", err)
-		}
-		if n > 0 {
-			logger.Printf("quditd coordinator replayed %d unsettled job(s) from %s", n, o.journal)
-		}
+	if err := replay(o, logger, "job", jobsRec, coord.Replay); err != nil {
+		coord.Close()
+		return err
 	}
 	mgr, err := experiment.NewManager(coord, experiment.Config{Parallel: o.sweepParallel, Journal: sweepsJournal, Tenants: tenants})
 	if err != nil {
 		coord.Close()
 		return err
 	}
-	if sweepsJournal != nil {
-		n, err := mgr.Replay(sweepsRec)
-		if err != nil {
-			mgr.Close()
-			coord.Close()
-			return fmt.Errorf("replaying sweep journal: %w", err)
-		}
-		if n > 0 {
-			logger.Printf("quditd coordinator resumed %d unsettled sweep(s) from %s", n, o.journal)
-		}
+	if err := replay(o, logger, "sweep", sweepsRec, mgr.Replay); err != nil {
+		mgr.Close()
+		coord.Close()
+		return err
 	}
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {

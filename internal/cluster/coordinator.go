@@ -74,11 +74,9 @@ type CoordinatorConfig struct {
 	// round, capped at 1s, with ±50% jitter so a thundering herd of
 	// requeues does not re-converge on one worker. Default 50ms.
 	DispatchBackoff time.Duration
-	// Journal, when non-nil, makes the fleet durable: every worker
-	// registration and departure, every dispatch of a job a client
-	// holds an ID for, and every settlement of one appends a small
-	// record, and Replay restores registered workers, unsettled jobs
-	// and the ID counter after a restart. Nil disables durability.
+	// Journal, when non-nil, makes the fleet durable: workers joining
+	// and leaving, and the dispatches and settlements of client jobs,
+	// append small records that Replay restores after a restart.
 	Journal *journal.Journal
 	// Client is the HTTP client used for worker traffic; nil selects a
 	// client bounded by ControlTimeout. Event streams and ?wait=1
@@ -157,10 +155,8 @@ type jobRecord struct {
 	// untenanted); shots is the reservation released at settlement.
 	acct  *tenant.Account
 	shots int
-	// durable marks a job a client holds an ID for (an HTTP
-	// submission, not a sweep cell of RunJob): only those are
-	// journaled, from the first dispatch a worker accepts to their
-	// settlement.
+	// durable marks a job a client holds an ID for (not a sweep cell
+	// of RunJob): only those are journaled.
 	durable bool
 
 	mu sync.Mutex
@@ -389,9 +385,9 @@ func (c *Coordinator) requeue(rec *jobRecord, failed string) {
 
 // settle records a job's terminal view exactly once, releases its
 // payload and the tenant's admission reservation, removes it from its
-// worker's assigned set, and journals the settlement of a journaled
-// job. A lost settle record costs at most one deterministic
-// re-dispatch after a restart, so an append failure is only counted.
+// worker's assigned set, and journals it (a lost settle record costs
+// one deterministic re-dispatch after a restart, so it is only
+// counted).
 func (c *Coordinator) settle(rec *jobRecord, view *JobView) {
 	rec.mu.Lock()
 	if rec.settled != nil {
@@ -431,19 +427,21 @@ func (c *Coordinator) settle(rec *jobRecord, view *JobView) {
 		}
 	}
 	c.mu.Unlock()
-	c.maybeCompact()
+	// A failed compaction leaves the WAL intact; the journal counts it.
+	if jl := c.cfg.Journal; jl != nil && jl.CompactDue(compactEvery) {
+		_ = c.compact()
+	}
 }
 
-// assign points a record at a worker, maintaining the assigned sets,
-// and journals the routing of a journaled job. It refuses (record
+// assign points a record at a worker, maintaining the assigned sets
+// and journaling a durable job's routing. It refuses (record
 // untouched) when the worker has vanished or started draining since
 // the caller picked it: its drain snapshot has already been taken, so
 // a record assigned now would never be collected or requeued — the
 // caller must treat the dispatch as failed and try the next candidate.
-// A job's first dispatch record is what makes it durable, so failing
-// to append that one refuses the job with serve.ErrNotDurable; a later
-// routing change that fails to append only costs a requeue after a
-// restart, and is counted by the journal.
+// It also refuses, with serve.ErrNotDurable, a job whose first
+// dispatch record (the one that makes it durable) cannot be appended;
+// a later one that fails costs a requeue after a restart.
 func (c *Coordinator) assign(rec *jobRecord, workerID, remoteID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -634,14 +632,6 @@ func (c *Coordinator) dispatchOnce(rec *jobRecord, exclude string) (serve.JobVie
 	}
 	return serve.JobView{}, lastErr
 }
-
-// Anonymous returns the account submissions run under when no tenant
-// is attached.
-func (c *Coordinator) Anonymous() *tenant.Account { return c.anon }
-
-// Tenants returns the registry the coordinator enforces, or nil when
-// untenanted.
-func (c *Coordinator) Tenants() *tenant.Registry { return c.cfg.Tenants }
 
 // admit validates a request against the coordinator's processor,
 // reserves the tenant's job and shot quota, and registers the job

@@ -10,42 +10,37 @@ import (
 	"quditkit/internal/tenant"
 )
 
-// Journal record kinds for the coordinator's write-ahead log. Each
-// carries one entry.
+// Journal record kinds for the coordinator's write-ahead log, each
+// carrying one entry; the snapshot schema version; and the WAL tail
+// length (records) past which a settlement compacts the journal.
 const (
 	recWorkerJoin  uint8 = 1 // a worker registered: {id, url}
 	recWorkerLeave uint8 = 2 // a worker left the ring, drained or reaped: {id}
 	recDispatch    uint8 = 3 // a worker accepted a job: its routing, plus the job itself the first time
 	recSettle      uint8 = 4 // a job settled: {id}
+
+	coordSnapshotVersion = 1
+	compactEvery         = 256
 )
 
-// coordSnapshotVersion guards the compacted snapshot schema.
-const coordSnapshotVersion = 1
-
-// compactEvery is the WAL tail length (records) past which a
-// settlement compacts the coordinator's journal.
-const compactEvery = 256
-
-// coordSnapshot is the coordinator's compacted durable state: what a
-// restarted coordinator needs to replay its fleet instead of forgetting
-// it. Only recoverable state is kept — registered workers (identity and
-// dispatch URL, not liveness clocks), unsettled client jobs (original
-// payload, routing, requeue count), and the ID counter, so a restart
-// never reissues a job ID a client holds. Settled views are deliberately
-// not kept: workers' content-addressed caches reproduce any result
-// byte-identically on demand, which is the cheaper durability.
+// coordSnapshot is what a restarted coordinator needs to replay its
+// fleet: registered workers (identity and dispatch URL, not liveness
+// clocks), unsettled client jobs, and the ID counter. Settled views are
+// deliberately left out: workers' content-addressed caches reproduce
+// any result byte-identically on demand, which is the cheaper
+// durability.
 type coordSnapshot struct {
 	journal.Header
 	Workers []entry `json:"workers"`
 	Jobs    []entry `json:"jobs"`
 }
 
-// entry is the body of every coordinator record and snapshot row. A
-// worker is its ID and URL. A job's routing is its worker, the worker's
-// job ID and the requeue count; its first dispatch record and its
-// snapshot row also carry the verbatim submission, the routing key, the
-// owning tenant (empty for anonymous) and the shot reservation. A leave
-// or settle record carries only the ID.
+// entry is the body of every record and snapshot row. A worker is its
+// ID and URL. A job is its routing (worker, the worker's job ID,
+// requeue count); its first dispatch record and its snapshot row also
+// carry the verbatim submission, the routing key, the owning tenant
+// (empty for anonymous) and the shot reservation. A leave or settle
+// record carries only the ID.
 type entry struct {
 	ID       string          `json:"id"`
 	URL      string          `json:"url,omitempty"`
@@ -70,32 +65,17 @@ func (rec *jobRecord) entryLocked() entry {
 
 // journalLocked appends one record; the caller holds c.mu, so records
 // land in the order their changes took effect and never inside a
-// compaction's capture-to-truncate window. Without a journal it
-// records nothing. The journal counts a failed append.
+// compaction's capture-to-truncate window. The journal counts a
+// failed append.
 func (c *Coordinator) journalLocked(kind uint8, e entry) error {
 	if c.cfg.Journal == nil {
 		return nil
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	return c.cfg.Journal.Append(kind, data)
-}
-
-// maybeCompact folds the coordinator's state into a snapshot once the
-// WAL tail has grown past compactEvery. A failed compaction leaves the
-// WAL intact and is counted by the journal.
-func (c *Coordinator) maybeCompact() {
-	if jl := c.cfg.Journal; jl != nil && jl.CompactDue(compactEvery) {
-		_ = c.compact()
-	}
+	return c.cfg.Journal.AppendJSON(kind, e)
 }
 
 // compact writes the coordinator's durable state as the journal's
-// snapshot. It holds c.mu across the capture and the Compact call, and
-// every record is appended under c.mu, so none can land in the window
-// the truncate erases.
+// snapshot, holding c.mu across the capture and the Compact call.
 func (c *Coordinator) compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -115,11 +95,7 @@ func (c *Coordinator) compact() error {
 	// Stable ordering keeps snapshot bytes a function of state.
 	sort.Slice(snap.Workers, func(i, j int) bool { return snap.Workers[i].ID < snap.Workers[j].ID })
 	sort.Slice(snap.Jobs, func(i, j int) bool { return snap.Jobs[i].ID < snap.Jobs[j].ID })
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	return c.cfg.Journal.Compact(data)
+	return c.cfg.Journal.CompactJSON(snap)
 }
 
 // Replay restores the journal's recovered state into a freshly built
@@ -127,7 +103,8 @@ func (c *Coordinator) compact() error {
 // (one TTL to prove themselves before the monitor reaps them and
 // requeues their jobs), unsettled client jobs keep their IDs, payloads
 // and routing, and the ID counter resumes past every ID the journal
-// names. It returns the number of jobs restored.
+// names. It returns the number of jobs restored. The journal is left
+// as found; the next compaction folds the restored state in.
 //
 // Replay must run once, before the coordinator is exposed to traffic.
 // Anything it cannot decode fails loudly: silently forgetting accepted
@@ -136,99 +113,66 @@ func (c *Coordinator) Replay(rec journal.Recovery) (int, error) {
 	if c.cfg.Journal == nil {
 		return 0, errors.New("cluster: Replay requires CoordinatorConfig.Journal")
 	}
-	ids := journal.Counter{Prefix: "c-"}
-	workers := make(map[string]string)
-	jobs := make(map[string]*entry)
-	var order []string
-	settled := make(map[string]bool)
-	if rec.Snapshot != nil {
-		var snap coordSnapshot
-		h, err := journal.DecodeSnapshot(rec.Snapshot, coordSnapshotVersion, &snap)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: %w", err)
+	var snap coordSnapshot
+	h, err := journal.DecodeSnapshot(rec.Snapshot, coordSnapshotVersion, &snap)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: %w", err)
+	}
+	ids := journal.Counter{Prefix: "c-", Max: h.NextID}
+	apply := func(kind uint8, e entry) error {
+		switch kind {
+		case recWorkerJoin:
+			c.workers[e.ID] = &workerNode{id: e.ID, url: e.URL, lastBeat: c.cfg.now(), assigned: make(map[string]*jobRecord)}
+			c.ring.Add(e.ID)
+		case recWorkerLeave:
+			delete(c.workers, e.ID)
+			c.ring.Remove(e.ID)
+		case recDispatch:
+			ids.Note(e.ID)
+			if j := c.jobs[e.ID]; j != nil {
+				j.workerID, j.remoteID, j.requeues = e.Worker, e.Remote, e.Requeues
+				return nil
+			}
+			c.jobs[e.ID] = &jobRecord{id: e.ID, key: e.Key, acct: c.cfg.Tenants.Resolve(e.Tenant, c.anon),
+				shots: e.Shots, durable: true, reserved: true, payload: e.Payload,
+				workerID: e.Worker, remoteID: e.Remote, requeues: e.Requeues}
+		case recSettle:
+			ids.Note(e.ID)
+			delete(c.jobs, e.ID)
+		default:
+			return fmt.Errorf("cluster: unknown journal record kind %d", kind)
 		}
-		ids.Max = h.NextID
-		for _, w := range snap.Workers {
-			workers[w.ID] = w.URL
-		}
-		for i, j := range snap.Jobs {
-			jobs[j.ID] = &snap.Jobs[i]
-			order = append(order, j.ID)
-		}
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range snap.Workers {
+		apply(recWorkerJoin, w)
+	}
+	for _, j := range snap.Jobs {
+		apply(recDispatch, j)
 	}
 	for _, r := range rec.Records {
 		var e entry
 		if err := json.Unmarshal(r.Payload, &e); err != nil {
 			return 0, fmt.Errorf("cluster: corrupt journal record: %w", err)
 		}
-		switch r.Kind {
-		case recWorkerJoin:
-			workers[e.ID] = e.URL
-		case recWorkerLeave:
-			delete(workers, e.ID)
-		case recDispatch:
-			ids.Note(e.ID)
-			if j := jobs[e.ID]; j != nil {
-				j.Worker, j.Remote, j.Requeues = e.Worker, e.Remote, e.Requeues
-			} else {
-				jobs[e.ID] = &e
-				order = append(order, e.ID)
-			}
-		case recSettle:
-			ids.Note(e.ID)
-			settled[e.ID] = true
-		default:
-			return 0, fmt.Errorf("cluster: unknown journal record kind %d", r.Kind)
+		if err := apply(r.Kind, e); err != nil {
+			return 0, err
 		}
 	}
-
-	var restored []*jobRecord
-	for _, id := range order {
-		e := jobs[id]
-		if settled[id] {
-			continue
-		}
-		if e.Payload == nil {
+	for id, j := range c.jobs {
+		if j.payload == nil {
 			return 0, fmt.Errorf("cluster: journal routes job %s but never recorded its submission", id)
 		}
-		restored = append(restored, &jobRecord{
-			id:       id,
-			key:      e.Key,
-			acct:     c.cfg.Tenants.Resolve(e.Tenant, c.anon),
-			shots:    e.Shots,
-			durable:  true,
-			reserved: true,
-			payload:  e.Payload,
-			workerID: e.Worker,
-			remoteID: e.Remote,
-			requeues: e.Requeues,
-		})
-	}
-
-	now := c.cfg.now()
-	c.mu.Lock()
-	c.nextID = max(c.nextID, ids.Max)
-	for id, url := range workers {
-		c.workers[id] = &workerNode{id: id, url: url, lastBeat: now, assigned: make(map[string]*jobRecord)}
-		c.ring.Add(id)
-	}
-	for _, rec := range restored {
 		// Quota-bypassing admission: quotas shrunk across the restart
 		// must not drop jobs the fleet already accepted.
-		rec.acct.ForceAdmitJob(rec.shots)
-		c.jobs[rec.id] = rec
-		if n := c.workers[rec.workerID]; n != nil {
-			n.assigned[rec.id] = rec
+		j.acct.ForceAdmitJob(j.shots)
+		if n := c.workers[j.workerID]; n != nil {
+			n.assigned[id] = j
 		}
 	}
-	c.journalLag += len(restored)
-	c.journalReplayed = len(restored)
-	c.mu.Unlock()
-
-	// Rewrite the journal as one snapshot of what was just restored, so
-	// the next restart replays state, not history.
-	if err := c.compact(); err != nil {
-		return len(restored), fmt.Errorf("cluster: compacting journal after replay: %w", err)
-	}
-	return len(restored), nil
+	c.nextID = max(c.nextID, ids.Max)
+	c.journalLag, c.journalReplayed = len(c.jobs), len(c.jobs)
+	return len(c.jobs), nil
 }

@@ -77,10 +77,6 @@ type Config struct {
 	// Replay resumes unsettled sweeps after a restart, re-running only
 	// their unfinished cells. Nil disables durability.
 	Journal *journal.Journal
-	// JournalCompactEvery is the WAL tail length (records) past which a
-	// settlement triggers snapshot compaction. Default 512; negative
-	// disables automatic compaction.
-	JournalCompactEvery int
 	// Tenants, when non-nil, turns on multi-tenant enforcement at the
 	// sweep surface: the HTTP layer requires a registered X-API-Key,
 	// SubmitAs reserves against MaxConcurrentSweeps, and a tenant can
@@ -101,9 +97,6 @@ func (c Config) withDefaults() Config {
 		c.RetainSweeps = 64
 	case c.RetainSweeps < 0:
 		c.RetainSweeps = 0 // unlimited
-	}
-	if c.JournalCompactEvery == 0 {
-		c.JournalCompactEvery = 512
 	}
 	return c
 }
@@ -326,11 +319,7 @@ func (m *Manager) SubmitAs(acct *tenant.Account, req SweepRequest) (string, erro
 		if acct != m.anon {
 			owner = acct.Name()
 		}
-		data, jerr := json.Marshal(sweepAdmitRecord{ID: s.id, Request: reqJSON, Tenant: owner})
-		if jerr == nil {
-			jerr = m.cfg.Journal.Append(recSweepAdmit, data)
-		}
-		if jerr != nil {
+		if jerr := m.cfg.Journal.AppendJSON(recSweepAdmit, sweepAdmitRecord{ID: s.id, Request: reqJSON, Tenant: owner}); jerr != nil {
 			delete(m.sweeps, s.id)
 			acct.CancelSweepAdmission()
 			m.mu.Unlock()

@@ -18,8 +18,13 @@ const (
 	recSweepSettle uint8 = 3 // a sweep reached a terminal state: {id, state}
 )
 
-// sweepSnapshotVersion guards the compacted snapshot schema.
-const sweepSnapshotVersion = 1
+// sweepSnapshotVersion guards the compacted snapshot schema;
+// compactEvery is the WAL tail length (records) past which a
+// settlement compacts the journal.
+const (
+	sweepSnapshotVersion = 1
+	compactEvery         = 512
+)
 
 // sweepAdmitRecord is the durable form of one accepted sweep: the
 // issued ID and the canonical SweepRequest, from which a restart
@@ -114,9 +119,7 @@ func (m *Manager) journalCellSettle(crec cellSettleRecord) {
 	if jl == nil {
 		return
 	}
-	if data, err := json.Marshal(crec); err == nil {
-		_ = jl.Append(recCellSettle, data)
-	}
+	_ = jl.AppendJSON(recCellSettle, crec)
 	m.maybeCompact()
 }
 
@@ -135,17 +138,15 @@ func (m *Manager) journalSweepSettle(s *sweep, state string) {
 	if !ok {
 		return
 	}
-	if data, err := json.Marshal(sweepSettleRecord{ID: s.id, State: state}); err == nil {
-		_ = jl.Append(recSweepSettle, data)
-	}
+	_ = jl.AppendJSON(recSweepSettle, sweepSettleRecord{ID: s.id, State: state})
 	m.maybeCompact()
 }
 
-// maybeCompact triggers snapshot compaction once the WAL tail exceeds
-// the configured threshold. A failed compaction leaves the WAL intact,
+// maybeCompact triggers snapshot compaction once the WAL tail reaches
+// compactEvery. A failed compaction leaves the WAL intact,
 // so it only delays the next snapshot; the journal counts it.
 func (m *Manager) maybeCompact() {
-	if jl := m.cfg.Journal; jl != nil && jl.CompactDue(m.cfg.JournalCompactEvery) {
+	if jl := m.cfg.Journal; jl != nil && jl.CompactDue(compactEvery) {
 		_ = m.compactJournal()
 	}
 }
@@ -158,10 +159,6 @@ func (m *Manager) maybeCompact() {
 // sweep in the snapshot as unsettled, and the restart re-runs it
 // deterministically — benign, never lossy.
 func (m *Manager) compactJournal() error {
-	jl := m.cfg.Journal
-	if jl == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	snap := sweepSnapshot{Header: journal.Header{Version: sweepSnapshotVersion, NextID: m.nextID}}
@@ -181,11 +178,7 @@ func (m *Manager) compactJournal() error {
 		snap.Sweeps = append(snap.Sweeps, entry)
 	}
 	sort.Slice(snap.Sweeps, func(i, j int) bool { return snap.Sweeps[i].ID < snap.Sweeps[j].ID })
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	return jl.Compact(data)
+	return m.cfg.Journal.CompactJSON(snap)
 }
 
 // Replay restores the journal's recovered state into a freshly built
@@ -207,7 +200,6 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 		return 0, errors.New("experiment: Replay requires Config.Journal")
 	}
 
-	ids := journal.Counter{Prefix: "s-"}
 	type pendingSweep struct {
 		id     string
 		req    json.RawMessage
@@ -225,16 +217,14 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 		ordered = append(ordered, ps)
 	}
 
-	if rec.Snapshot != nil {
-		var snap sweepSnapshot
-		h, err := journal.DecodeSnapshot(rec.Snapshot, sweepSnapshotVersion, &snap)
-		if err != nil {
-			return 0, fmt.Errorf("experiment: %w", err)
-		}
-		ids.Max = h.NextID
-		for _, e := range snap.Sweeps {
-			add(e.ID, e.Request, e.Tenant, e.Cells)
-		}
+	var snap sweepSnapshot
+	h, err := journal.DecodeSnapshot(rec.Snapshot, sweepSnapshotVersion, &snap)
+	if err != nil {
+		return 0, fmt.Errorf("experiment: %w", err)
+	}
+	ids := journal.Counter{Prefix: "s-", Max: h.NextID}
+	for _, e := range snap.Sweeps {
+		add(e.ID, e.Request, e.Tenant, e.Cells)
 	}
 	settled := make(map[string]bool)
 	for _, r := range rec.Records {

@@ -509,3 +509,30 @@ func TestSweepJournalFixtureReplays(t *testing.T) {
 		t.Fatalf("post-replay ID = %s, want s-000005", id)
 	}
 }
+
+// TestSweepJournalMetricsHelp pins the sweeps journal's /metrics
+// families — names, help text and types — as every role has always
+// served them.
+func TestSweepJournalMetricsHelp(t *testing.T) {
+	jl, _ := openSweepJournal(t, t.TempDir())
+	m := newTestManager(t, decayRunner(), Config{Journal: jl})
+	var b metrics.Buffer
+	m.WriteMetrics(&b)
+	var out strings.Builder
+	if _, err := b.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP quditd_sweep_journal_wal_bytes Sweep write-ahead log size.\n# TYPE quditd_sweep_journal_wal_bytes gauge\n",
+		"# HELP quditd_sweep_journal_tail_records Sweep WAL records not yet folded into a snapshot.\n# TYPE quditd_sweep_journal_tail_records gauge\n",
+		"# HELP quditd_sweep_journal_lag Journaled sweeps not yet settled.\n# TYPE quditd_sweep_journal_lag gauge\n",
+		"# HELP quditd_sweep_journal_appends_total Sweep journal records fsynced.\n# TYPE quditd_sweep_journal_appends_total counter\n",
+		"# HELP quditd_sweep_journal_compactions_total Sweep journal snapshot rewrites.\n# TYPE quditd_sweep_journal_compactions_total counter\n",
+		"# HELP quditd_sweep_journal_failures_total Sweep journal appends and compactions that failed.\n# TYPE quditd_sweep_journal_failures_total counter\n",
+		"# HELP quditd_sweep_journal_replayed Sweeps resumed from the journal at startup.\n# TYPE quditd_sweep_journal_replayed gauge\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}

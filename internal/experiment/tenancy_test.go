@@ -135,7 +135,7 @@ func TestSweepTenantAuthQuotaOwnership(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("wait: %d", status)
 		}
-		acme, _ := m.Tenants().ByName("acme")
+		acme := m.Tenants().Resolve("acme", nil)
 		if acme.Snapshot().RunningSweeps == 0 {
 			break
 		}

@@ -9,12 +9,6 @@ import (
 	"quditkit/internal/metrics"
 )
 
-// This file holds what every consumer of a journal shares — the job
-// service, the sweep manager and the fleet coordinator: the snapshot
-// header and its version check, ID-counter resumption, the compaction
-// trigger, and the gauges each one serves on /v1/stats and /metrics.
-// Record schemas and replay semantics stay with the consumer.
-
 // Header opens every consumer snapshot: the consumer's schema version
 // and its ID counter at compaction time.
 type Header struct {
@@ -24,11 +18,14 @@ type Header struct {
 
 // DecodeSnapshot unmarshals a consumer snapshot into v, a struct that
 // embeds Header, and returns the header once its version is the one
-// this build writes. Bytes that do not decode and any other version
-// fail loudly: replaying part of a snapshot is the silent loss a
-// journal exists to prevent.
+// this build writes; no snapshot (nil data) leaves v as it is. Bytes
+// that do not decode and any other version fail loudly: replaying part
+// of a snapshot is the silent loss a journal exists to prevent.
 func DecodeSnapshot(data []byte, version int, v any) (Header, error) {
 	var h Header
+	if data == nil {
+		return h, nil
+	}
 	if err := json.Unmarshal(data, &h); err != nil {
 		return h, fmt.Errorf("corrupt journal snapshot: %w", err)
 	}
@@ -59,6 +56,24 @@ func (c *Counter) Note(id string) {
 	}
 }
 
+// AppendJSON appends v, marshaled to JSON, as one record of kind.
+func (j *Journal) AppendJSON(kind uint8, v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return j.Append(kind, data)
+}
+
+// CompactJSON compacts the journal into v, marshaled to JSON.
+func (j *Journal) CompactJSON(v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return j.Compact(data)
+}
+
 // CompactDue reports whether the WAL tail has reached every records,
 // the point at which a consumer folds its state into a snapshot.
 // every <= 0 never triggers.
@@ -69,14 +84,11 @@ func (j *Journal) CompactDue(every int) bool {
 }
 
 // Status is a consumer's journal block in GET /v1/stats: the raw
-// gauges plus the consumer's view of them.
+// gauges, the journaled jobs or sweeps not yet settled (Lag: what a
+// crash now would replay) and those restored at startup (Replayed).
 type Status struct {
 	Stats
-	// Lag counts journaled jobs or sweeps not yet settled — the work a
-	// crash right now would replay on restart.
-	Lag int `json:"lag"`
-	// Replayed counts jobs or sweeps this process restored from the
-	// journal at startup.
+	Lag      int   `json:"lag"`
 	Replayed int64 `json:"replayed"`
 }
 
@@ -89,15 +101,12 @@ func (j *Journal) Status(lag int, replayed int64) *Status {
 	return &Status{Stats: j.Stats(), Lag: lag, Replayed: replayed}
 }
 
-// Family names one consumer's journal families on /metrics.
+// Family names one consumer's journal families on /metrics: every
+// name starts with Prefix ("quditd_journal"), Subject ("Sweep" or
+// empty) qualifies the journal-level help text, and Lag and Replayed
+// are the help text of the consumer's two gauges.
 type Family struct {
-	// Prefix starts every family name, e.g. "quditd_journal".
-	Prefix string
-	// Subject qualifies the help text of the journal-level families
-	// ("Sweep"); empty leaves it unqualified.
-	Subject string
-	// Lag and Replayed are the help text of the consumer's two gauges.
-	Lag, Replayed string
+	Prefix, Subject, Lag, Replayed string
 }
 
 // WriteMetrics renders s as f's seven families; a nil s renders
@@ -112,18 +121,11 @@ func (s *Status) WriteMetrics(b *metrics.Buffer, f Family) {
 		}
 		return f.Subject + " " + text
 	}
-	b.Family(f.Prefix+"_wal_bytes", help("write-ahead log size."), metrics.Gauge).
-		Add(float64(s.WALBytes))
-	b.Family(f.Prefix+"_tail_records", help("WAL records not yet folded into a snapshot."), metrics.Gauge).
-		Add(float64(s.TailRecords))
-	b.Family(f.Prefix+"_lag", f.Lag, metrics.Gauge).
-		Add(float64(s.Lag))
-	b.Family(f.Prefix+"_appends_total", help("journal records fsynced."), metrics.Counter).
-		Add(float64(s.Appends))
-	b.Family(f.Prefix+"_compactions_total", help("journal snapshot rewrites."), metrics.Counter).
-		Add(float64(s.Compactions))
-	b.Family(f.Prefix+"_failures_total", help("journal appends and compactions that failed."), metrics.Counter).
-		Add(float64(s.Failures))
-	b.Family(f.Prefix+"_replayed", f.Replayed, metrics.Gauge).
-		Add(float64(s.Replayed))
+	b.Family(f.Prefix+"_wal_bytes", help("write-ahead log size."), metrics.Gauge).Add(float64(s.WALBytes))
+	b.Family(f.Prefix+"_tail_records", help("WAL records not yet folded into a snapshot."), metrics.Gauge).Add(float64(s.TailRecords))
+	b.Family(f.Prefix+"_lag", f.Lag, metrics.Gauge).Add(float64(s.Lag))
+	b.Family(f.Prefix+"_appends_total", help("journal records fsynced."), metrics.Counter).Add(float64(s.Appends))
+	b.Family(f.Prefix+"_compactions_total", help("journal snapshot rewrites."), metrics.Counter).Add(float64(s.Compactions))
+	b.Family(f.Prefix+"_failures_total", help("journal appends and compactions that failed."), metrics.Counter).Add(float64(s.Failures))
+	b.Family(f.Prefix+"_replayed", f.Replayed, metrics.Gauge).Add(float64(s.Replayed))
 }

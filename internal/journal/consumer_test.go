@@ -28,6 +28,9 @@ func TestDecodeSnapshotChecksVersion(t *testing.T) {
 	if _, err := DecodeSnapshot([]byte("{not json"), 3, &got); err == nil {
 		t.Fatal("corrupt snapshot decoded")
 	}
+	if h, err := DecodeSnapshot(nil, 3, &got); err != nil || h != (Header{}) || len(got.Jobs) != 1 {
+		t.Fatalf("no snapshot: %+v %+v, %v", h, got, err)
+	}
 }
 
 func TestCounterNotesOnlyItsIDs(t *testing.T) {

@@ -90,11 +90,7 @@ func (s *Service) admitJournaledLocked(sh *shardQueue, j *job, payload []byte) (
 	if name := j.acct.Name(); name != tenant.AnonymousName {
 		rec.Tenant = name
 	}
-	data, err := json.Marshal(rec)
-	if err == nil {
-		err = s.cfg.Journal.Append(recJobAdmit, data)
-	}
-	if err != nil {
+	if err := s.cfg.Journal.AppendJSON(recJobAdmit, rec); err != nil {
 		delete(s.jobs, id)
 		s.mu.Unlock()
 		j.acct.CancelAdmission(j.shots)
@@ -128,10 +124,7 @@ func (s *Service) journalSettle(id JobID, state JobState) {
 	if !ok {
 		return
 	}
-	data, err := json.Marshal(jobSettleRecord{ID: string(id), State: state.String()})
-	if err == nil {
-		_ = jl.Append(recJobSettle, data)
-	}
+	_ = jl.AppendJSON(recJobSettle, jobSettleRecord{ID: string(id), State: state.String()})
 	// Until its settle record is appended, a crash would replay the
 	// job, so it counts as lag until then.
 	s.journalLag.Add(-1)
@@ -148,10 +141,6 @@ func (s *Service) journalSettle(id JobID, state JobState) {
 // truncated settle leaves its job in the snapshot as unsettled, and the
 // restart re-runs it deterministically — benign, never lossy.
 func (s *Service) compactJournal() error {
-	jl := s.cfg.Journal
-	if jl == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := jobSnapshot{Header: journal.Header{Version: jobSnapshotVersion, NextID: s.nextID}}
@@ -161,11 +150,7 @@ func (s *Service) compactJournal() error {
 	// Stable ordering keeps snapshot bytes a function of state; IDs are
 	// zero-padded, so lexicographic order is admission order.
 	sort.Slice(snap.Jobs, func(i, j int) bool { return snap.Jobs[i].ID < snap.Jobs[j].ID })
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	return jl.Compact(data)
+	return s.cfg.Journal.CompactJSON(snap)
 }
 
 // Replay restores the journal's recovered state into a freshly started
@@ -188,17 +173,13 @@ func (s *Service) Replay(rec journal.Recovery) (int, error) {
 		return 0, errors.New("serve: Replay requires Config.Journal")
 	}
 
-	ids := journal.Counter{Prefix: "j-"}
-	var ordered []jobAdmitRecord
-	if rec.Snapshot != nil {
-		var snap jobSnapshot
-		h, err := journal.DecodeSnapshot(rec.Snapshot, jobSnapshotVersion, &snap)
-		if err != nil {
-			return 0, fmt.Errorf("serve: %w", err)
-		}
-		ids.Max = h.NextID
-		ordered = append(ordered, snap.Jobs...)
+	var snap jobSnapshot
+	h, err := journal.DecodeSnapshot(rec.Snapshot, jobSnapshotVersion, &snap)
+	if err != nil {
+		return 0, fmt.Errorf("serve: %w", err)
 	}
+	ids := journal.Counter{Prefix: "j-", Max: h.NextID}
+	ordered := snap.Jobs
 	settled := make(map[string]bool)
 	for _, r := range rec.Records {
 		switch r.Kind {

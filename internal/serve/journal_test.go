@@ -510,3 +510,50 @@ func TestJournalFixtureReplays(t *testing.T) {
 		t.Fatalf("post-replay ID = %s, want j-000006", id)
 	}
 }
+
+// TestJournalMetricsBlock pins the jobs journal's /metrics families —
+// names, help text, types and order — as a standalone node has always
+// served them.
+func TestJournalMetricsBlock(t *testing.T) {
+	jl, _ := openJournal(t, t.TempDir())
+	s := newTestService(t, Config{Journal: jl, Shards: 1})
+	enqueueWire(t, s, wirePayload(1, 16))
+	var b metrics.Buffer
+	s.WriteMetrics(&b)
+	var out strings.Builder
+	if _, err := b.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "quditd_journal_") {
+			got = append(got, strings.TrimRight(line, "0123456789"))
+		}
+	}
+	want := []string{
+		"# HELP quditd_journal_wal_bytes Write-ahead log size.",
+		"# TYPE quditd_journal_wal_bytes gauge",
+		"quditd_journal_wal_bytes ",
+		"# HELP quditd_journal_tail_records WAL records not yet folded into a snapshot.",
+		"# TYPE quditd_journal_tail_records gauge",
+		"quditd_journal_tail_records ",
+		"# HELP quditd_journal_lag Journaled jobs not yet settled.",
+		"# TYPE quditd_journal_lag gauge",
+		"quditd_journal_lag ",
+		"# HELP quditd_journal_appends_total Journal records fsynced.",
+		"# TYPE quditd_journal_appends_total counter",
+		"quditd_journal_appends_total ",
+		"# HELP quditd_journal_compactions_total Journal snapshot rewrites.",
+		"# TYPE quditd_journal_compactions_total counter",
+		"quditd_journal_compactions_total ",
+		"# HELP quditd_journal_failures_total Journal appends and compactions that failed.",
+		"# TYPE quditd_journal_failures_total counter",
+		"quditd_journal_failures_total ",
+		"# HELP quditd_journal_replayed Jobs restored from the journal at startup.",
+		"# TYPE quditd_journal_replayed gauge",
+		"quditd_journal_replayed ",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("journal families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -24,8 +24,8 @@ func schedRegistry(t *testing.T) *tenant.Registry {
 
 func mustAccount(t *testing.T, reg *tenant.Registry, name string) *tenant.Account {
 	t.Helper()
-	a, ok := reg.ByName(name)
-	if !ok {
+	a := reg.Resolve(name, nil)
+	if a == nil {
 		t.Fatalf("no tenant %q", name)
 	}
 	return a

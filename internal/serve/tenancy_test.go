@@ -316,7 +316,7 @@ func TestJournalReplayRestoresTenantAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bob, _ := s.Tenants().ByName("bob")
+	bob := s.Tenants().Resolve("bob", nil)
 	if u := bob.Snapshot(); u.Enqueued != 1 || u.Completed != 1 || u.QueuedJobs != 0 || u.InflightShots != 0 {
 		t.Fatalf("bob's accounting not restored by replay: %+v", u)
 	}
@@ -364,8 +364,8 @@ func TestMixedTenantByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acme, _ := reg.ByName("acme")
-	bob, _ := reg.ByName("bob")
+	acme := reg.Resolve("acme", nil)
+	bob := reg.Resolve("bob", nil)
 	bully := tenant.NewAnonymous()
 	s := newTestService(t, Config{Shards: 2, CacheSize: -1, Tenants: reg})
 	var load []JobID
@@ -454,8 +454,8 @@ func TestMixedTenantTrajectoryWidthsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acme, _ := reg.ByName("acme")
-	bob, _ := reg.ByName("bob")
+	acme := reg.Resolve("acme", nil)
+	bob := reg.Resolve("bob", nil)
 	bully := tenant.NewAnonymous()
 	s := newTestService(t, Config{Shards: 2, CacheSize: -1, Tenants: reg})
 	var load []JobID

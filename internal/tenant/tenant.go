@@ -380,13 +380,6 @@ func (r *Registry) Lookup(key string) (*Account, error) {
 	return nil, ErrUnknownKey
 }
 
-// ByName resolves a tenant name to its Account — the journal-replay
-// path, where records carry names, not keys.
-func (r *Registry) ByName(name string) (*Account, bool) {
-	a, ok := r.byName[name]
-	return a, ok
-}
-
 // Resolve returns the account a journaled tenant name replays under:
 // the named tenant when r registers it, anon otherwise (an empty name,
 // no registry, or a tenant removed across the restart). Accepted work

@@ -29,8 +29,17 @@ func TestLoadAndLookup(t *testing.T) {
 	if _, err := r.Lookup(""); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("empty key: %v", err)
 	}
-	if b, ok := r.ByName("bob"); !ok || b.Weight() != 1 {
-		t.Fatalf("ByName(bob) = %v, %v (weight defaults to 1)", b, ok)
+	if b := r.Resolve("bob", nil); b == nil || b.Weight() != 1 {
+		t.Fatalf("Resolve(bob) = %v (weight defaults to 1)", b)
+	}
+	// Journal replay falls back to the anonymous account for a name the
+	// registry does not hold, an empty name, or no registry at all.
+	anon := NewAnonymous()
+	var none *Registry
+	for _, got := range []*Account{r.Resolve("gone", anon), r.Resolve("", anon), none.Resolve("bob", anon)} {
+		if got != anon {
+			t.Fatalf("fallback resolved to %v, want the anonymous account", got)
+		}
 	}
 	if got := len(r.Accounts()); got != 2 {
 		t.Fatalf("Accounts() len = %d", got)
@@ -72,7 +81,7 @@ func TestJobQuotaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := r.ByName("acme") // max_queued_jobs=2, max_inflight_shots=1000
+	a := r.Resolve("acme", nil) // max_queued_jobs=2, max_inflight_shots=1000
 
 	if err := a.TryAdmitJob(400); err != nil {
 		t.Fatal(err)
@@ -130,7 +139,7 @@ func TestSweepQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := r.ByName("acme") // max_concurrent_sweeps=1
+	a := r.Resolve("acme", nil) // max_concurrent_sweeps=1
 	if err := a.TryAdmitSweep(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestForceAdmitBypassesQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := r.ByName("acme")
+	a := r.Resolve("acme", nil)
 	// Fill the quota, then force two more (journal replay must never
 	// drop accepted work, even when quotas shrank across a restart).
 	for i := 0; i < 2; i++ {
