@@ -639,6 +639,69 @@ func TestCoordinatorJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCoordinatorJournalCompaction: a compacted coordinator journal
+// replays from its snapshot plus the records after it — unsettled jobs
+// from both, workers that joined and left, and an ID counter past
+// every issued ID.
+func TestCoordinatorJournalCompaction(t *testing.T) {
+	dir := t.TempDir()
+	proc, err := core.NewCompactProcessor(2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl1, _ := openCoordJournal(t, dir)
+	coord1, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, Journal: jl1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := newTestWorker(t, 1, serve.Config{Shards: 1})
+	coord1.Register("w1", w1.ts.URL)
+	ts1 := httptest.NewServer(Handler(coord1))
+	defer ts1.Close()
+	// Nobody polls an async job, so the coordinator holds it unsettled.
+	a, _ := postJob(t, ts1.URL, ghzBody(16, 41), false)
+	b, _ := postJob(t, ts1.URL, ghzBody(16, 42), true)
+	if err := coord1.compact(); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := postJob(t, ts1.URL, ghzBody(16, 43), false)
+	coord1.Register("w2", "http://127.0.0.1:1")
+	if _, _, err := coord1.Drain("w2"); err != nil {
+		t.Fatal(err)
+	}
+	coord1.Close()
+	jl1.Close()
+
+	jl2, rec := openCoordJournal(t, dir)
+	if rec.Snapshot == nil || len(rec.Records) != 3 {
+		t.Fatalf("recovered snapshot %q and %d records, want a snapshot and 3", rec.Snapshot, len(rec.Records))
+	}
+	coord2, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, Journal: jl2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if n, err := coord2.Replay(rec); err != nil || n != 2 {
+		t.Fatalf("replayed %d jobs (err %v), want 2", n, err)
+	}
+	if coord2.workerURL("w1") != w1.ts.URL || coord2.workerURL("w2") != "" {
+		t.Fatalf("restored workers %+v, want only w1", coord2.Stats().Workers)
+	}
+	ts2 := httptest.NewServer(Handler(coord2))
+	defer ts2.Close()
+	for _, id := range []string{a.ID, c.ID} {
+		if view, status := getJob(t, ts2.URL, id, true); status != http.StatusOK || view.State != "done" {
+			t.Fatalf("restored job %s: status %d view %+v", id, status, view)
+		}
+	}
+	if _, status := getJob(t, ts2.URL, b.ID, false); status != http.StatusNotFound {
+		t.Fatalf("settled job %s answered %d after restart, want 404", b.ID, status)
+	}
+	if nv, _ := postJob(t, ts2.URL, ghzBody(16, 44), false); nv.ID != "c-000004" {
+		t.Fatalf("post-replay ID %s, want c-000004", nv.ID)
+	}
+}
+
 // TestRestartForgetsRunJobCells: the sweep-cell jobs of RunJob are
 // not journaled — no client holds their IDs, and the sweep journal
 // re-runs unfinished cells itself — so a coordinator restarted with

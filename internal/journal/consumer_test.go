@@ -43,6 +43,29 @@ func TestCounterNotesOnlyItsIDs(t *testing.T) {
 	}
 }
 
+func TestJSONRecordsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, "jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.CompactJSON(Header{Version: 1, NextID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendJSON(7, map[string]string{"id": "j-000003"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendJSON(7, func() {}); err == nil {
+		t.Fatal("a value JSON cannot encode was appended")
+	}
+	j, rec := reopen(t, j, dir, "jobs")
+	defer j.Close()
+	if string(rec.Snapshot) != `{"version":1,"next_id":2}` || len(rec.Records) != 1 ||
+		rec.Records[0].Kind != 7 || string(rec.Records[0].Payload) != `{"id":"j-000003"}` {
+		t.Fatalf("recovered %q %+v", rec.Snapshot, rec.Records)
+	}
+}
+
 func TestCompactDue(t *testing.T) {
 	j, _, err := Open(t.TempDir(), "jobs")
 	if err != nil {
