@@ -195,24 +195,33 @@ func loadTenants(o options, logger *log.Logger) (*tenant.Registry, error) {
 	return reg, nil
 }
 
-// openJournals prepares the daemon's durable state directory and opens
-// its two journals, the same in every role: jobs and sweeps. Recovery
-// is strict — anything beyond a torn final record is a startup error,
-// never silently partial state.
-func openJournals(o options) (jobs, sweeps *journal.Journal, jobsRec, sweepsRec journal.Recovery, err error) {
-	if err = os.MkdirAll(o.journal, 0o755); err != nil {
-		return nil, nil, journal.Recovery{}, journal.Recovery{}, fmt.Errorf("creating journal directory: %w", err)
+// journals are the daemon's two write-ahead journals, the same in every
+// role, with what each recovered; both nil without -journal.
+type journals struct {
+	jobs, sweeps       *journal.Journal
+	jobsRec, sweepsRec journal.Recovery
+}
+
+// openJournals prepares the -journal directory and opens both journals.
+// Recovery is strict — anything beyond a torn final record is a
+// startup error, never silently partial state.
+func openJournals(o options) (journals, error) {
+	var js journals
+	if o.journal == "" {
+		return js, nil
 	}
-	jobs, jobsRec, err = journal.Open(o.journal, "jobs")
-	if err != nil {
-		return nil, nil, journal.Recovery{}, journal.Recovery{}, fmt.Errorf("opening job journal: %w", err)
+	if err := os.MkdirAll(o.journal, 0o755); err != nil {
+		return js, fmt.Errorf("creating journal directory: %w", err)
 	}
-	sweeps, sweepsRec, err = journal.Open(o.journal, "sweeps")
-	if err != nil {
-		jobs.Close()
-		return nil, nil, journal.Recovery{}, journal.Recovery{}, fmt.Errorf("opening sweep journal: %w", err)
+	var err error
+	if js.jobs, js.jobsRec, err = journal.Open(o.journal, "jobs"); err != nil {
+		return journals{}, fmt.Errorf("opening job journal: %w", err)
 	}
-	return jobs, sweeps, jobsRec, sweepsRec, nil
+	if js.sweeps, js.sweepsRec, err = journal.Open(o.journal, "sweeps"); err != nil {
+		js.jobs.Close()
+		return journals{}, fmt.Errorf("opening sweep journal: %w", err)
+	}
+	return js, nil
 }
 
 // replay restores one journal's unsettled work before the listener
@@ -260,50 +269,45 @@ func run(ctx context.Context, o options, logger *log.Logger, ready chan<- net.Ad
 	if o.checkpoint != "" {
 		logger.Printf("quditd: -checkpoint is deprecated and ignored; a coordinator journals its jobs under -journal")
 	}
-	if o.role == "coordinator" {
-		return runCoordinator(ctx, o, logger, ready)
+	js, err := openJournals(o)
+	if err != nil {
+		return err
 	}
-	return runNode(ctx, o, logger, ready)
+	if js.jobs != nil {
+		// Closed last: settlements recorded while the queues drain
+		// during shutdown must still reach disk.
+		defer js.sweeps.Close()
+		defer js.jobs.Close()
+	}
+	if o.role == "coordinator" {
+		return runCoordinator(ctx, o, js, logger, ready)
+	}
+	return runNode(ctx, o, js, logger, ready)
 }
 
 // runNode serves a standalone or worker node: the full queue + cache +
 // simulator stack, plus (for workers) the cluster agent that makes it
 // part of a fleet.
-func runNode(ctx context.Context, o options, logger *log.Logger, ready chan<- net.Addr) error {
-	var (
-		jobsJournal, sweepsJournal *journal.Journal
-		jobsRec, sweepsRec         journal.Recovery
-	)
-	if o.journal != "" {
-		var err error
-		jobsJournal, sweepsJournal, jobsRec, sweepsRec, err = openJournals(o)
-		if err != nil {
-			return err
-		}
-		// Closed last: settlements recorded while the queue drains
-		// during shutdown must still reach disk.
-		defer sweepsJournal.Close()
-		defer jobsJournal.Close()
-	}
+func runNode(ctx context.Context, o options, js journals, logger *log.Logger, ready chan<- net.Addr) error {
 	tenants, err := loadTenants(o, logger)
 	if err != nil {
 		return err
 	}
-	svc, err := newService(o, jobsJournal, tenants)
+	svc, err := newService(o, js.jobs, tenants)
 	if err != nil {
 		return err
 	}
-	if err := replay(o, logger, "job", jobsRec, svc.Replay); err != nil {
+	if err := replay(o, logger, "job", js.jobsRec, svc.Replay); err != nil {
 		svc.Close()
 		return err
 	}
 	mgr, err := experiment.NewManager(experiment.ServeRunner{Service: svc},
-		experiment.Config{Parallel: o.sweepParallel, Journal: sweepsJournal, Tenants: tenants})
+		experiment.Config{Parallel: o.sweepParallel, Journal: js.sweeps, Tenants: tenants})
 	if err != nil {
 		svc.Close()
 		return err
 	}
-	if err := replay(o, logger, "sweep", sweepsRec, mgr.Replay); err != nil {
+	if err := replay(o, logger, "sweep", js.sweepsRec, mgr.Replay); err != nil {
 		mgr.Close()
 		svc.Close()
 		return err
@@ -390,20 +394,7 @@ func runNode(ctx context.Context, o options, logger *log.Logger, ready chan<- ne
 
 // runCoordinator serves the fleet front door: same job API, no
 // simulator — every job is dispatched to a registered worker.
-func runCoordinator(ctx context.Context, o options, logger *log.Logger, ready chan<- net.Addr) error {
-	var (
-		jobsJournal, sweepsJournal *journal.Journal
-		jobsRec, sweepsRec         journal.Recovery
-	)
-	if o.journal != "" {
-		var err error
-		jobsJournal, sweepsJournal, jobsRec, sweepsRec, err = openJournals(o)
-		if err != nil {
-			return err
-		}
-		defer sweepsJournal.Close()
-		defer jobsJournal.Close()
-	}
+func runCoordinator(ctx context.Context, o options, js journals, logger *log.Logger, ready chan<- net.Addr) error {
 	proc, err := core.NewCompactProcessor(o.cavities, o.modes, o.seed)
 	if err != nil {
 		return fmt.Errorf("building processor: %w", err)
@@ -417,7 +408,7 @@ func runCoordinator(ctx context.Context, o options, logger *log.Logger, ready ch
 		HeartbeatTTL:   o.hbTTL,
 		RetainJobs:     o.retain,
 		ControlTimeout: o.controlTimeout,
-		Journal:        jobsJournal,
+		Journal:        js.jobs,
 		Tenants:        tenants,
 	})
 	if err != nil {
@@ -425,16 +416,16 @@ func runCoordinator(ctx context.Context, o options, logger *log.Logger, ready ch
 	}
 	// Jobs first: the restored workers are where resumed sweeps
 	// dispatch their unfinished cells.
-	if err := replay(o, logger, "job", jobsRec, coord.Replay); err != nil {
+	if err := replay(o, logger, "job", js.jobsRec, coord.Replay); err != nil {
 		coord.Close()
 		return err
 	}
-	mgr, err := experiment.NewManager(coord, experiment.Config{Parallel: o.sweepParallel, Journal: sweepsJournal, Tenants: tenants})
+	mgr, err := experiment.NewManager(coord, experiment.Config{Parallel: o.sweepParallel, Journal: js.sweeps, Tenants: tenants})
 	if err != nil {
 		coord.Close()
 		return err
 	}
-	if err := replay(o, logger, "sweep", sweepsRec, mgr.Replay); err != nil {
+	if err := replay(o, logger, "sweep", js.sweepsRec, mgr.Replay); err != nil {
 		mgr.Close()
 		coord.Close()
 		return err
