@@ -70,7 +70,7 @@
 // sweeps re-run only their unfinished cells — before the listener
 // opens, so clients that poll or stream by ID resume where they left
 // off. A corrupt journal (anything beyond a torn final record) fails
-// startup loudly. The coordinator's former -checkpoint is ignored.
+// startup loudly. The -checkpoint flag is deprecated and ignored.
 package main
 
 import (

@@ -146,11 +146,13 @@ func (c *Coordinator) Replay(rec journal.Recovery) (int, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Snapshot rows replay as the records that rebuild them; apply
+	// fails only on an unknown kind.
 	for _, w := range snap.Workers {
-		apply(recWorkerJoin, w)
+		_ = apply(recWorkerJoin, w)
 	}
 	for _, j := range snap.Jobs {
-		apply(recDispatch, j)
+		_ = apply(recDispatch, j)
 	}
 	for _, r := range rec.Records {
 		var e entry
