@@ -702,6 +702,62 @@ func TestCoordinatorJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestCoordinatorJournalConcurrentJobs: concurrent submissions through
+// a journaled coordinator cost two records each (first dispatch and
+// settlement) plus one per worker registration, and a restart after
+// they all settled restores nothing.
+func TestCoordinatorJournalConcurrentJobs(t *testing.T) {
+	dir := t.TempDir()
+	proc, err := core.NewCompactProcessor(2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, _ := openCoordJournal(t, dir)
+	coord, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, Journal: jl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.Register("w1", newTestWorker(t, 1, serve.Config{}).ts.URL)
+	coord.Register("w2", newTestWorker(t, 1, serve.Config{}).ts.URL)
+	ts := httptest.NewServer(Handler(coord))
+	defer ts.Close()
+	const jobs = 16
+	errs := make(chan error, jobs)
+	for i := 0; i < jobs; i++ {
+		go func(i int) {
+			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(ghzBody(32, int64(60+i))))
+			if err == nil {
+				var view JobView
+				err = json.NewDecoder(resp.Body).Decode(&view)
+				resp.Body.Close()
+				if err == nil && view.State != "done" {
+					err = fmt.Errorf("job %s settled %q", view.ID, view.State)
+				}
+			}
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < jobs; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := coord.Stats(); st.Dispatched != jobs || st.Journal.Appends != 2*jobs+2 || st.Journal.Lag != 0 {
+		t.Fatalf("dispatched %d, journal %+v: want %d appends and no lag", st.Dispatched, st.Journal, 2*jobs+2)
+	}
+	jl.Close()
+	jl2, rec := openCoordJournal(t, dir)
+	coord2, err := NewCoordinator(CoordinatorConfig{Proc: proc, MonitorInterval: -1, Journal: jl2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if n, err := coord2.Replay(rec); err != nil || n != 0 {
+		t.Fatalf("replayed %d settled jobs (err %v), want none", n, err)
+	}
+}
+
 // TestRestartForgetsRunJobCells: the sweep-cell jobs of RunJob are
 // not journaled — no client holds their IDs, and the sweep journal
 // re-runs unfinished cells itself — so a coordinator restarted with
