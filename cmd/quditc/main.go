@@ -50,7 +50,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -68,6 +67,7 @@ import (
 	"quditkit/internal/experiment"
 	"quditkit/internal/httpapi"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 	"quditkit/internal/transpile"
 )
 
@@ -249,7 +249,7 @@ const (
 // Last-Event-ID. Any other non-200 on a reconnect still reports the
 // stream as lost — the ID settled before the crash or the daemon runs
 // without a journal.
-func streamSSE(url, apiKey string, timeout time.Duration, handle func(event, data string) bool) error {
+func streamSSE(url, apiKey string, timeout time.Duration, handle func(sse.Frame) bool) error {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -354,30 +354,16 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// consumeSSE scans one SSE connection, tracking event IDs for
+// consumeSSE reads one SSE connection, tracking event IDs for
 // resumption and dispatching each complete frame. It returns true when
 // handle signalled the terminal event, false when the stream dropped.
-func consumeSSE(r io.Reader, lastID *string, handle func(event, data string) bool) bool {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	event, data := "", ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			*lastID = strings.TrimPrefix(line, "id: ")
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if data != "" && handle(event, data) {
-				return true
-			}
-			event, data = "", ""
+func consumeSSE(r io.Reader, lastID *string, handle func(sse.Frame) bool) bool {
+	return sse.Read(r, func(f sse.Frame) bool {
+		if f.ID != "" {
+			*lastID = f.ID
 		}
-	}
-	return false
+		return handle(f)
+	})
 }
 
 // watchJob consumes the SSE stream of one job until its terminal
@@ -386,15 +372,15 @@ func consumeSSE(r io.Reader, lastID *string, handle func(event, data string) boo
 func watchJob(addr, apiKey, id string, asJSON bool, timeout time.Duration, stdout io.Writer) error {
 	url := strings.TrimSuffix(addr, "/") + "/v1/jobs/" + id + "/events"
 	var final string
-	err := streamSSE(url, apiKey, timeout, func(name, data string) bool {
+	err := streamSSE(url, apiKey, timeout, func(f sse.Frame) bool {
 		if asJSON {
-			fmt.Fprintln(stdout, data)
+			fmt.Fprintf(stdout, "%s\n", f.Data)
 		}
 		var ev serve.Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+		if err := json.Unmarshal(f.Data, &ev); err != nil {
 			return false
 		}
-		if name == "requeued" {
+		if f.Event == "requeued" {
 			if !asJSON {
 				fmt.Fprintf(stdout, "%s  %s\n", id, "requeued onto another worker")
 			}
@@ -403,8 +389,7 @@ func watchJob(addr, apiKey, id string, asJSON bool, timeout time.Duration, stdou
 		if !asJSON {
 			printEvent(stdout, id, ev)
 		}
-		switch ev.State {
-		case "done", "failed", "cancelled":
+		if serve.Terminal(ev.State) {
 			final = ev.State
 			return true
 		}
@@ -482,12 +467,12 @@ func watchSweep(addr, apiKey, id string, asJSON bool, timeout time.Duration, std
 	url := strings.TrimSuffix(addr, "/") + "/v1/sweeps/" + id + "/events"
 	var final *experiment.SweepView
 	settled := 0
-	err := streamSSE(url, apiKey, timeout, func(_, data string) bool {
+	err := streamSSE(url, apiKey, timeout, func(f sse.Frame) bool {
 		if asJSON {
-			fmt.Fprintln(stdout, data)
+			fmt.Fprintf(stdout, "%s\n", f.Data)
 		}
 		var ev experiment.SweepEvent
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+		if err := json.Unmarshal(f.Data, &ev); err != nil {
 			return false
 		}
 		switch {

@@ -16,6 +16,7 @@ import (
 	"quditkit/internal/core"
 	"quditkit/internal/experiment"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 )
 
 const ghzSpec = `{"dims": [3,3,3], "ops": [
@@ -282,15 +283,15 @@ func TestStreamSSEReconnect(t *testing.T) {
 	defer srv.Close()
 
 	var seqs []int
-	err := streamSSE(srv.URL, "", 30*time.Second, func(event, data string) bool {
+	err := streamSSE(srv.URL, "", 30*time.Second, func(f sse.Frame) bool {
 		var ev struct {
 			Seq int `json:"seq"`
 		}
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			t.Fatalf("bad data %q: %v", data, err)
+		if err := json.Unmarshal(f.Data, &ev); err != nil {
+			t.Fatalf("bad data %q: %v", f.Data, err)
 		}
 		seqs = append(seqs, ev.Seq)
-		return event == "sweep"
+		return f.Event == "sweep"
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,17 +330,17 @@ func TestStreamSSESurvivesRestart(t *testing.T) {
 	var seqs []int
 	done := make(chan error, 1)
 	go func() {
-		done <- streamSSE(url, "", 30*time.Second, func(event, data string) bool {
+		done <- streamSSE(url, "", 30*time.Second, func(f sse.Frame) bool {
 			var ev struct {
 				Seq int `json:"seq"`
 			}
-			if err := json.Unmarshal([]byte(data), &ev); err != nil {
-				t.Errorf("bad data %q: %v", data, err)
+			if err := json.Unmarshal(f.Data, &ev); err != nil {
+				t.Errorf("bad data %q: %v", f.Data, err)
 			}
 			mu.Lock()
 			seqs = append(seqs, ev.Seq)
 			mu.Unlock()
-			return event == "sweep"
+			return f.Event == "sweep"
 		})
 	}()
 
@@ -400,7 +401,7 @@ func TestStreamSSETimeout(t *testing.T) {
 		// Never send the terminal event; the deadline must fire.
 	}))
 	defer srv.Close()
-	err := streamSSE(srv.URL, "", 300*time.Millisecond, func(event, data string) bool { return false })
+	err := streamSSE(srv.URL, "", 300*time.Millisecond, func(sse.Frame) bool { return false })
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("err = %v, want timeout", err)
 	}

@@ -10,7 +10,6 @@ package cluster
 // chaos seeds deterministically.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 	"quditkit/internal/journal"
 	"quditkit/internal/metrics"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 )
 
 // chaosSeeds are the distinct fault-schedule seeds every scenario runs
@@ -440,34 +440,21 @@ func TestChaosSSEWatchSurvivesRequeue(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("events status %d", resp.StatusCode)
 	}
-	evc := make(chan sseEvent, 64)
+	evc := make(chan sse.Frame, 64)
 	go func() {
 		defer close(evc)
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		cur := sseEvent{}
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				cur.name = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				cur.data = strings.TrimPrefix(line, "data: ")
-			case line == "":
-				if cur.data != "" {
-					evc <- cur
-				}
-				cur = sseEvent{}
-			}
-		}
+		sse.Read(resp.Body, func(f sse.Frame) bool {
+			evc <- f
+			return false
+		})
 	}()
-	recv := func(why string) (sseEvent, bool) {
+	recv := func(why string) (sse.Frame, bool) {
 		select {
 		case ev, ok := <-evc:
 			return ev, ok
 		case <-time.After(60 * time.Second):
 			t.Fatalf("timed out waiting for %s", why)
-			return sseEvent{}, false
+			return sse.Frame{}, false
 		}
 	}
 
@@ -478,8 +465,8 @@ func TestChaosSSEWatchSurvivesRequeue(t *testing.T) {
 		t.Fatal("stream closed before any event")
 	}
 	var firstEv serve.Event
-	if err := json.Unmarshal([]byte(first.data), &firstEv); err != nil {
-		t.Fatalf("bad first event %q: %v", first.data, err)
+	if err := json.Unmarshal(first.Data, &firstEv); err != nil {
+		t.Fatalf("bad first event %q: %v", first.Data, err)
 	}
 	f.workers["w2"].ts.CloseClientConnections()
 
@@ -490,18 +477,18 @@ func TestChaosSSEWatchSurvivesRequeue(t *testing.T) {
 		if !ok {
 			break // stream ended after the terminal frame
 		}
-		if ev.name == "requeued" {
+		if ev.Event == "requeued" {
 			sawRequeued = true
 			var move struct {
 				Worker string `json:"worker"`
 			}
-			if err := json.Unmarshal([]byte(ev.data), &move); err != nil || move.Worker != "w1" {
-				t.Fatalf("requeued event %q (err %v), want move to w1", ev.data, err)
+			if err := json.Unmarshal(ev.Data, &move); err != nil || move.Worker != "w1" {
+				t.Fatalf("requeued event %q (err %v), want move to w1", ev.Data, err)
 			}
 			continue
 		}
-		if err := json.Unmarshal([]byte(ev.data), &last); err != nil {
-			t.Fatalf("bad event %q: %v", ev.data, err)
+		if err := json.Unmarshal(ev.Data, &last); err != nil {
+			t.Fatalf("bad event %q: %v", ev.Data, err)
 		}
 	}
 	if !sawRequeued {

@@ -613,7 +613,7 @@ func (c *Coordinator) dispatchOnce(rec *jobRecord, exclude string) (serve.JobVie
 			if i > 0 {
 				c.spills.Add(1)
 			}
-			if stateTerminal(view.State) {
+			if serve.Terminal(view.State) {
 				c.settle(rec, c.wrap(rec, view))
 			}
 			return view, nil
@@ -718,7 +718,7 @@ func (c *Coordinator) RunJob(ctx context.Context, acct *tenant.Account, req serv
 		return serve.JobView{}, err
 	}
 	c.dispatched.Add(1)
-	if stateTerminal(view.State) {
+	if serve.Terminal(view.State) {
 		return c.wrap(rec, view).JobView, nil
 	}
 	settled, err := c.await(ctx, rec)
@@ -762,7 +762,7 @@ func (c *Coordinator) cancelRemote(rec *jobRecord) {
 	if err := c.getJSONWith(ctx, c.streamer, url+"/v1/jobs/"+remoteID+"?wait=1", &view); err != nil {
 		return
 	}
-	if stateTerminal(view.State) {
+	if serve.Terminal(view.State) {
 		c.settle(rec, c.wrap(rec, view))
 	}
 }
@@ -774,15 +774,6 @@ func (c *Coordinator) wrap(rec *jobRecord, view serve.JobView) *JobView {
 	out := JobView{JobView: view, Worker: workerID, Requeues: requeues}
 	out.ID = rec.id
 	return &out
-}
-
-// stateTerminal reports whether a wire state string is terminal.
-func stateTerminal(state string) bool {
-	switch state {
-	case serve.Done.String(), serve.Failed.String(), serve.Cancelled.String():
-		return true
-	}
-	return false
 }
 
 // Stats aggregates fleet state: registry liveness plus each worker's

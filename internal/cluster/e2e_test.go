@@ -1,16 +1,19 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"quditkit/internal/httpapi"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 )
 
 // TestFleetMatchesStandalone is the scale-out determinism contract: a
@@ -161,32 +164,14 @@ func TestWorkerLossRequeueAndCacheIdempotency(t *testing.T) {
 	}
 }
 
-// sseEvent is one parsed SSE frame.
-type sseEvent struct {
-	name string
-	data string
-}
-
 // readSSE parses an SSE stream to completion.
-func readSSE(t *testing.T, body *bufio.Scanner) []sseEvent {
-	t.Helper()
-	var events []sseEvent
-	cur := sseEvent{}
-	for body.Scan() {
-		line := body.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			cur.name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if cur.data != "" {
-				events = append(events, cur)
-			}
-			cur = sseEvent{}
-		}
-	}
-	return events
+func readSSE(r io.Reader) []sse.Frame {
+	var frames []sse.Frame
+	sse.Read(r, func(f sse.Frame) bool {
+		frames = append(frames, f)
+		return false
+	})
+	return frames
 }
 
 // TestEventStreamEndToEnd drives the SSE surface on both topologies: a
@@ -207,16 +192,15 @@ func TestEventStreamEndToEnd(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content type %q", ct)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	events := readSSE(t, sc)
+	events := readSSE(resp.Body)
 	if len(events) < 2 {
 		t.Fatalf("stream carried %d events: %+v", len(events), events)
 	}
 	var states []string
 	var last serve.Event
 	for _, e := range events {
-		if err := json.Unmarshal([]byte(e.data), &last); err != nil {
-			t.Fatalf("bad event data %q: %v", e.data, err)
+		if err := json.Unmarshal(e.Data, &last); err != nil {
+			t.Fatalf("bad event data %q: %v", e.Data, err)
 		}
 		states = append(states, last.State)
 	}
@@ -234,13 +218,168 @@ func TestEventStreamEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	late := readSSE(t, bufio.NewScanner(resp2.Body))
+	late := readSSE(resp2.Body)
 	if len(late) != 1 {
 		t.Fatalf("late subscription got %d events: %+v", len(late), late)
 	}
 	var lateEv serve.Event
-	if err := json.Unmarshal([]byte(late[0].data), &lateEv); err != nil || lateEv.State != "done" || lateEv.Result == nil {
-		t.Fatalf("late terminal event %q err %v", late[0].data, err)
+	if err := json.Unmarshal(late[0].Data, &lateEv); err != nil || lateEv.State != "done" || lateEv.Result == nil {
+		t.Fatalf("late terminal event %q err %v", late[0].Data, err)
+	}
+}
+
+// watchedWorker registers one worker whose handler reports the query of
+// every event-stream request it receives on the returned channel.
+func watchedWorker(t *testing.T, f *fleet, id string) (*testWorker, <-chan string) {
+	t.Helper()
+	w := newTestWorker(t, 1, serve.Config{})
+	queries := make(chan string, 16)
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			queries <- r.URL.RawQuery
+		}
+		w.ts.Config.Handler.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(ts.Close)
+	f.coord.Register(id, ts.URL)
+	return w, queries
+}
+
+// remoteID returns the ID the owning worker knows a coordinator job by.
+func remoteID(t *testing.T, f *fleet, id string) string {
+	t.Helper()
+	rec, err := f.coord.record(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, remote, _, _ := rec.snapshot()
+	return remote
+}
+
+// TestRelayResumes: a client that reconnects through the coordinator
+// mid-job, with Last-Event-ID: 1 or with ?after=1, receives only the
+// events after seq 1, byte for byte as the worker sends them.
+func TestRelayResumes(t *testing.T) {
+	f := newFleet(t, serve.Config{})
+	w, queries := watchedWorker(t, f, "w1")
+	view, status := postJob(t, f.ts.URL, ghzBody(serve.MaxShots, 42), false)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d %+v", status, view)
+	}
+	url := f.ts.URL + "/v1/jobs/" + view.ID + "/events"
+
+	// Watch until the job runs, then drop the connection.
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	sse.Read(resp.Body, func(f sse.Frame) bool {
+		seen++
+		return f.ID == "1"
+	})
+	resp.Body.Close()
+	if seen != 2 {
+		t.Fatalf("first connection read %d frames before seq 1", seen)
+	}
+	if q := <-queries; q != "" {
+		t.Fatalf("a fresh watch asked the worker for %q", q)
+	}
+
+	// Reconnect both ways while the job still runs.
+	type result struct {
+		body []byte
+		err  error
+	}
+	bodies := make(chan result, 2)
+	for _, resume := range []func(*http.Request){
+		func(r *http.Request) { r.Header.Set("Last-Event-ID", "1") },
+		func(r *http.Request) { r.URL.RawQuery = "after=1" },
+	} {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume(req)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				bodies <- result{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			bodies <- result{body, err}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if q := <-queries; q != "after=1" {
+			t.Fatalf("a resumed watch asked the worker for %q, want after=1", q)
+		}
+	}
+	cancel, err := http.NewRequest(http.MethodDelete, f.ts.URL+"/v1/jobs/"+view.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp, err := http.DefaultClient.Do(cancel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel: status %d", cresp.StatusCode)
+	}
+
+	// The worker's own answer to the same resume point.
+	direct, err := http.Get(w.ts.URL + "/v1/jobs/" + remoteID(t, f, view.ID) + "/events?after=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(direct.Body)
+	direct.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(want), "id: 2\n") || strings.Count(string(want), "id: ") != 1 {
+		t.Fatalf("worker resumed after seq 1 with %q", want)
+	}
+	for i := 0; i < 2; i++ {
+		got := <-bodies
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if string(got.body) != string(want) {
+			t.Fatalf("resumed relay sent\n%s\nthe worker sends\n%s", got.body, want)
+		}
+	}
+}
+
+// TestEventsRejectBadAfter: a non-integer ?after= answers 400
+// invalid_request, and the coordinator answers it before any worker
+// round trip.
+func TestEventsRejectBadAfter(t *testing.T) {
+	f := newFleet(t, serve.Config{})
+	w, queries := watchedWorker(t, f, "w1")
+	view, _ := postJob(t, f.ts.URL, ghzBody(64, 42), true)
+	for _, url := range []string{
+		f.ts.URL + "/v1/jobs/" + view.ID + "/events?after=x",
+		w.ts.URL + "/v1/jobs/" + remoteID(t, f, view.ID) + "/events?after=x",
+	} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		det, ok := httpapi.Decode(raw)
+		if resp.StatusCode != http.StatusBadRequest || !ok || det.Code != httpapi.CodeInvalidRequest {
+			t.Fatalf("%s: status %d body %s", url, resp.StatusCode, raw)
+		}
+	}
+	select {
+	case q := <-queries:
+		t.Fatalf("the coordinator asked the worker for %q", q)
+	default:
 	}
 }
 

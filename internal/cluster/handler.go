@@ -1,19 +1,20 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
 	"quditkit/internal/httpapi"
 	"quditkit/internal/metrics"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 	"quditkit/internal/tenant"
 )
 
@@ -149,7 +150,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.dispatched.Add(1)
 
 	out := c.wrap(rec, view)
-	if serve.WantWait(r) && !stateTerminal(out.State) {
+	if serve.WantWait(r) && !serve.Terminal(out.State) {
 		settled, err := c.await(r.Context(), rec)
 		if err != nil {
 			httpapi.WriteError(w, http.StatusGatewayTimeout, httpapi.CodeTimeout, err.Error(), 0)
@@ -211,7 +212,7 @@ func (c *Coordinator) await(ctx context.Context, rec *jobRecord) (*JobView, erro
 			pause(ctx, 100*time.Millisecond)
 			continue
 		}
-		if stateTerminal(view.State) {
+		if serve.Terminal(view.State) {
 			c.settle(rec, c.wrap(rec, view))
 			_, _, _, settled := rec.snapshot()
 			return settled, nil
@@ -258,7 +259,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 				err = json.NewDecoder(resp.Body).Decode(&view)
 				resp.Body.Close()
 				if err == nil && resp.StatusCode == http.StatusOK {
-					if stateTerminal(view.State) {
+					if serve.Terminal(view.State) {
 						c.settle(rec, c.wrap(rec, view))
 					}
 					httpapi.WriteJSON(w, http.StatusOK, c.wrap(rec, view))
@@ -328,16 +329,19 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstream, err.Error(), 0)
 		return
 	}
-	if stateTerminal(view.State) {
+	if serve.Terminal(view.State) {
 		c.settle(rec, c.wrap(rec, view))
 	}
 	httpapi.WriteJSON(w, http.StatusOK, c.wrap(rec, view))
 }
 
-// handleEvents relays the owning worker's SSE stream. If the stream
-// breaks before a terminal event, the coordinator requeues the job,
-// emits a "requeued" event naming the new worker, and re-attaches to
-// the replacement's stream (which replays from its own sequence 0).
+// handleEvents relays the owning worker's SSE stream, resuming after
+// the client's Last-Event-ID or ?after= (see package sse): the worker
+// is asked for the events after that point. If the stream breaks
+// before a terminal event, the coordinator requeues the job, emits a
+// "requeued" event naming the new worker, and re-attaches to the
+// replacement's stream, which replays from its own sequence 0. A job
+// the coordinator has settled answers with its terminal event alone.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	acct, ok := serve.Authenticate(w, r, c.cfg.Tenants, c.anon)
 	if !ok {
@@ -348,32 +352,28 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeClusterError(w, err)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	after, flusher, ok := sse.Open(w, r)
 	if !ok {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal,
-			"cluster: response writer cannot stream", 0)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
+	// after counts in the stream of the worker job that owned the
+	// record at requeue count stream.
+	_, _, stream, _ := rec.snapshot()
 	for attempt := 0; attempt <= c.cfg.MaxRequeues+1; attempt++ {
 		workerID, remoteID, requeues, settled := rec.snapshot()
 		if settled != nil {
-			// Settled records answer from the coordinator: synthesize
-			// the terminal event a late subscriber needs.
-			ev := serve.Event{State: settled.State, Cached: settled.Cached, Error: settled.Error, Result: settled.Result}
-			data, _ := json.Marshal(ev)
-			fmt.Fprintf(w, "event: state\ndata: %s\n\n", data)
+			// Settled records answer from the coordinator: send the
+			// terminal event a late subscriber needs.
+			data, _ := json.Marshal(serve.Event{State: settled.State, Cached: settled.Cached, Error: settled.Error, Result: settled.Result})
+			_ = sse.Write(w, sse.Frame{Event: "state", Data: data})
 			flusher.Flush()
 			return
 		}
-		url := c.workerURL(workerID)
-		if url != "" {
-			terminal := c.relayWorkerStream(w, flusher, r, rec, url, remoteID)
+		if requeues != stream {
+			after, stream = -1, requeues
+		}
+		if url := c.workerURL(workerID); url != "" {
+			terminal := c.relayWorkerStream(w, flusher, r, rec, url+"/v1/jobs/"+remoteID+"/events", &after)
 			if terminal || r.Context().Err() != nil {
 				return
 			}
@@ -383,7 +383,8 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		c.requeue(rec, workerID)
 		newWorker, _, newRequeues, _ := rec.snapshot()
 		if newRequeues != requeues {
-			fmt.Fprintf(w, "event: requeued\ndata: {\"worker\":%q,\"requeues\":%d}\n\n", newWorker, newRequeues)
+			_ = sse.Write(w, sse.Frame{Event: "requeued",
+				Data: fmt.Appendf(nil, `{"worker":%q,"requeues":%d}`, newWorker, newRequeues)})
 			flusher.Flush()
 		} else {
 			// Another observer is moving the job; give the move a beat
@@ -404,12 +405,15 @@ func pause(ctx context.Context, d time.Duration) {
 	}
 }
 
-// relayWorkerStream copies one worker SSE stream through verbatim,
-// watching the data frames for a terminal state (which also settles
-// the coordinator's record). It reports whether a terminal event was
-// relayed.
-func (c *Coordinator) relayWorkerStream(w http.ResponseWriter, flusher http.Flusher, r *http.Request, rec *jobRecord, url, remoteID string) bool {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+"/v1/jobs/"+remoteID+"/events", nil)
+// relayWorkerStream relays one worker event stream, from after the
+// event *after, frame by frame, advancing *after past each. A terminal
+// event also settles the coordinator's record. It reports whether a
+// terminal event was relayed.
+func (c *Coordinator) relayWorkerStream(w http.ResponseWriter, flusher http.Flusher, r *http.Request, rec *jobRecord, url string, after *int) bool {
+	if *after >= 0 {
+		url += "?after=" + strconv.Itoa(*after)
+	}
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
 	if err != nil {
 		return false
 	}
@@ -421,30 +425,21 @@ func (c *Coordinator) relayWorkerStream(w http.ResponseWriter, flusher http.Flus
 	if resp.StatusCode != http.StatusOK {
 		return false
 	}
-	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	terminal := false
-	for scanner.Scan() {
-		line := scanner.Text()
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var ev serve.Event
-			if json.Unmarshal([]byte(data), &ev) == nil && stateTerminal(ev.State) {
-				terminal = true
-				c.settle(rec, c.wrap(rec, serve.JobView{
-					State: ev.State, Cached: ev.Cached, Error: ev.Error, Result: ev.Result,
-				}))
-			}
+	return sse.Read(resp.Body, func(f sse.Frame) bool {
+		var ev serve.Event
+		terminal := json.Unmarshal(f.Data, &ev) == nil && serve.Terminal(ev.State)
+		if terminal {
+			c.settle(rec, c.wrap(rec, serve.JobView{
+				State: ev.State, Cached: ev.Cached, Error: ev.Error, Result: ev.Result,
+			}))
 		}
-		fmt.Fprintf(w, "%s\n", line)
-		if line == "" {
-			flusher.Flush()
-			if terminal {
-				return true
-			}
+		if n, err := strconv.Atoi(f.ID); err == nil {
+			*after = n
 		}
-	}
-	flusher.Flush()
-	return terminal
+		_ = sse.Write(w, f)
+		flusher.Flush()
+		return terminal
+	})
 }
 
 // handleRegister admits a worker into the fleet.
@@ -526,7 +521,7 @@ func (c *Coordinator) Drain(id string) (collected, requeued int, err error) {
 			continue
 		}
 		view, gerr := c.collectOne(url, remoteID)
-		if gerr != nil || !stateTerminal(view.State) {
+		if gerr != nil || !serve.Terminal(view.State) {
 			c.requeue(rec, id)
 			requeued++
 			continue

@@ -1,13 +1,10 @@
 package experiment
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"quditkit/internal/httpapi"
+	"quditkit/internal/sse"
 )
 
 // SweepEvent types.
@@ -20,8 +17,8 @@ const (
 )
 
 // SweepEvent is one entry in a sweep's ordered event log, streamed to
-// SSE subscribers. Events are replayable: Seq is the position in the
-// log, and reconnecting clients resume after the last seen Seq.
+// SSE readers. Events are replayable: Seq is the position in the log,
+// and reconnecting clients resume after the last seen Seq.
 type SweepEvent struct {
 	// Seq is the event's position in the sweep's log, starting at 0.
 	Seq int `json:"seq"`
@@ -42,119 +39,25 @@ func (e SweepEvent) terminal() bool {
 	return e.Type == EventSweep && e.State != SweepRunning
 }
 
-// publishLocked appends an event to the log and fans it out to
-// subscribers; the caller holds s.mu. Terminal events close every
-// subscriber channel. Slow subscribers miss intermediate events rather
-// than blocking the sweep; they recover by re-reading Status.
+// publishLocked records an event on the sweep's log, waking the
+// streams that wait for it; the caller holds s.mu.
 func (s *sweep) publishLocked(ev SweepEvent) {
-	ev.Seq = len(s.events)
-	s.events = append(s.events, ev)
-	for _, ch := range s.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	if ev.terminal() {
-		for _, ch := range s.subs {
-			close(ch)
-		}
-		s.subs = nil
-	}
+	ev.Seq = s.events.Len()
+	s.events.Append(ev, ev.terminal())
 }
 
-// subscribe returns a channel replaying the event log from the
-// beginning and then following live events until the terminal event
-// closes it, plus a release function the caller must invoke when done.
-func (s *sweep) subscribe() (<-chan SweepEvent, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan SweepEvent, len(s.events)+len(s.cells)+8)
-	for _, ev := range s.events {
-		ch <- ev
-	}
-	if len(s.events) > 0 && s.events[len(s.events)-1].terminal() {
-		close(ch)
-		return ch, func() {}
-	}
-	s.subs = append(s.subs, ch)
-	release := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i, sub := range s.subs {
-			if sub == ch {
-				s.subs = append(s.subs[:i], s.subs[i+1:]...)
-				return
-			}
-		}
-	}
-	return ch, release
-}
-
-// serveSweepEvents streams a sweep's event log as server-sent events.
-// Reconnecting clients resume with the standard Last-Event-ID header
-// (or an ?after= query parameter); events at or before that sequence
-// are skipped on replay. The stream ends after the terminal event.
+// serveSweepEvents streams a sweep's event log as server-sent events,
+// each named by its type, until the terminal event, resuming after the
+// client's Last-Event-ID or ?after= (see package sse).
 func (m *Manager) serveSweepEvents(w http.ResponseWriter, r *http.Request, id string) {
 	s, err := m.sweepByID(id)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error(), 0)
 		return
 	}
-	after := -1
-	if v := strings.TrimSpace(r.Header.Get("Last-Event-ID")); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			after = n
-		}
-	}
-	if v := r.URL.Query().Get("after"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeInvalidRequest, "after must be an integer", 0)
-			return
-		}
-		after = n
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, "streaming unsupported", 0)
-		return
-	}
-	ch, release := s.subscribe()
-	defer release()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			if ev.Seq <= after {
-				continue
-			}
-			if err := writeSweepSSE(w, ev); err != nil {
-				return
-			}
-			fl.Flush()
-			if ev.terminal() {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSweepSSE emits one event in SSE wire form, with the sequence as
-// the event ID so Last-Event-ID resumption works.
-func writeSweepSSE(w http.ResponseWriter, ev SweepEvent) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-	return err
+	sse.Serve(w, r, func(after int) ([]SweepEvent, <-chan struct{}) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.events.Since(after)
+	}, func(ev SweepEvent) string { return ev.Type })
 }

@@ -32,6 +32,7 @@ import (
 
 	"quditkit/internal/journal"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 	"quditkit/internal/tenant"
 )
 
@@ -159,8 +160,7 @@ type sweep struct {
 	aggregate *Aggregate
 	aggErr    string
 	doneCh    chan struct{}
-	events    []SweepEvent
-	subs      []chan SweepEvent
+	events    sse.Log[SweepEvent]
 }
 
 // viewLocked assembles the wire view; the caller holds s.mu.
@@ -307,9 +307,7 @@ func (m *Manager) SubmitAs(acct *tenant.Account, req SweepRequest) (string, erro
 	}
 	m.nextID++
 	s.id = fmt.Sprintf("s-%06d", m.nextID)
-	// The initial running event is recorded at creation — no subscriber
-	// can exist before the ID is issued, so no fan-out is needed.
-	s.events = []SweepEvent{{Seq: 0, Type: EventSweep, State: SweepRunning}}
+	s.publishLocked(SweepEvent{Type: EventSweep, State: SweepRunning})
 	m.sweeps[s.id] = s
 	if m.cfg.Journal != nil {
 		// Admit under m.mu, like every admission: compaction holds m.mu

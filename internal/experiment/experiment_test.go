@@ -126,7 +126,7 @@ func TestSweepLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	events := append([]SweepEvent(nil), s.events...)
+	events, _ := s.events.Since(-1)
 	s.mu.Unlock()
 	if len(events) != 1+6+1 {
 		t.Fatalf("event log has %d entries, want 8", len(events))
@@ -276,8 +276,8 @@ func TestFinalizeCancelAfterLastSettle(t *testing.T) {
 		id: "s-test", kind: exp.kind, agg: exp.agg, acct: m.anon,
 		ctx: ctx, cancel: cancel,
 		state: SweepRunning, doneCh: make(chan struct{}),
-		events: []SweepEvent{{Seq: 0, Type: EventSweep, State: SweepRunning}},
 	}
+	s.publishLocked(SweepEvent{Type: EventSweep, State: SweepRunning})
 	for i := range exp.cells {
 		s.cells = append(s.cells, &cellRecord{cell: exp.cells[i], state: cellPending})
 	}

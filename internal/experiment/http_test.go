@@ -1,16 +1,18 @@
 package experiment
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"quditkit/internal/httpapi"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 )
 
 // newTestServer mounts a Manager over a fake runner behind the sweep
@@ -172,25 +174,14 @@ func TestHTTPCancel(t *testing.T) {
 func readSweepSSE(t *testing.T, r *http.Response) []SweepEvent {
 	t.Helper()
 	var events []SweepEvent
-	var data string
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if data != "" {
-				var ev SweepEvent
-				if err := json.Unmarshal([]byte(data), &ev); err != nil {
-					t.Fatalf("bad event %q: %v", data, err)
-				}
-				events = append(events, ev)
-			}
-			data = ""
+	sse.Read(r.Body, func(f sse.Frame) bool {
+		var ev SweepEvent
+		if err := json.Unmarshal(f.Data, &ev); err != nil {
+			t.Fatalf("bad event %q: %v", f.Data, err)
 		}
-	}
+		events = append(events, ev)
+		return false
+	})
 	return events
 }
 
@@ -268,6 +259,17 @@ func TestHTTPEvents(t *testing.T) {
 	resp4.Body.Close()
 	if resp4.StatusCode != http.StatusNotFound {
 		t.Fatalf("events of unknown sweep: %d", resp4.StatusCode)
+	}
+
+	// A non-integer resume point: 400 invalid_request, not a stream.
+	resp5, err := http.Get(ts.URL + "/v1/sweeps/" + view.ID + "/events?after=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp5.Body)
+	resp5.Body.Close()
+	if det, ok := httpapi.Decode(raw); resp5.StatusCode != http.StatusBadRequest || !ok || det.Code != httpapi.CodeInvalidRequest {
+		t.Fatalf("events?after=x: status %d body %s", resp5.StatusCode, raw)
 	}
 }
 

@@ -280,8 +280,8 @@ func (m *Manager) Replay(rec journal.Recovery) (int, error) {
 			state:   SweepRunning,
 			doneCh:  make(chan struct{}),
 			reqJSON: ps.req,
-			events:  []SweepEvent{{Seq: 0, Type: EventSweep, State: SweepRunning}},
 		}
+		s.publishLocked(SweepEvent{Type: EventSweep, State: SweepRunning})
 		s.ctx, s.cancel = context.WithCancel(context.Background())
 		for i := range exp.cells {
 			s.cells = append(s.cells, &cellRecord{cell: exp.cells[i], state: cellPending})

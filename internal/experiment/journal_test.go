@@ -350,7 +350,8 @@ func TestSweepJournalEventSeqResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	last := s.events[len(s.events)-1]
+	events, _ := s.events.Since(-1)
+	last := events[len(events)-1]
 	s.mu.Unlock()
 	// Pre-crash a watcher can have seen at most 1+settled events with
 	// the highest cell seq == number of settled cells; the terminal

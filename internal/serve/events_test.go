@@ -1,20 +1,47 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"quditkit/internal/core"
+	"quditkit/internal/httpapi"
+	"quditkit/internal/sse"
 )
 
-// TestSubscribeReplaysLifecycle: a subscriber attached after
-// settlement replays queued → running → done in order, with the
-// result on the terminal event, and the channel closes.
-func TestSubscribeReplaysLifecycle(t *testing.T) {
+// readEvents reads a job's event log the way its stream does, waiting
+// for each next event, until the log ends.
+func readEvents(t *testing.T, s *Service, id JobID) []Event {
+	t.Helper()
+	j, err := s.job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Event
+	for {
+		evs, wake := j.eventsSince(len(got) - 1)
+		got = append(got, evs...)
+		if wake == nil {
+			return got
+		}
+		select {
+		case <-wake:
+		case <-time.After(time.Minute):
+			t.Fatalf("job %s: no event after %+v", id, got)
+		}
+	}
+}
+
+// TestEventLogReplaysLifecycle: a reader that comes after settlement
+// replays queued → running → done in order, with the result on the
+// terminal event, and the log ends there.
+func TestEventLogReplaysLifecycle(t *testing.T) {
 	svc := newTestService(t, Config{})
 	id, err := svc.Enqueue(ghz(t), core.WithShots(32))
 	if err != nil {
@@ -23,15 +50,7 @@ func TestSubscribeReplaysLifecycle(t *testing.T) {
 	if _, err := svc.Await(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	events, release, err := svc.Subscribe(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	var got []Event
-	for ev := range events {
-		got = append(got, ev)
-	}
+	got := readEvents(t, svc, id)
 	if len(got) != 3 {
 		t.Fatalf("got %d events %+v, want 3", len(got), got)
 	}
@@ -50,14 +69,9 @@ func TestSubscribeReplaysLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events2, release2, err := svc.Subscribe(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release2()
 	var states []string
 	var last Event
-	for ev := range events2 {
+	for _, ev := range readEvents(t, svc, id2) {
 		states = append(states, ev.State)
 		last = ev
 	}
@@ -66,10 +80,9 @@ func TestSubscribeReplaysLifecycle(t *testing.T) {
 	}
 }
 
-// TestSubscribeLiveAndRelease: a live subscriber sees the terminal
-// event as it happens, and releasing early detaches without blocking
-// settlement.
-func TestSubscribeLiveAndRelease(t *testing.T) {
+// TestEventLogLive: a reader waiting on a running job's log sees the
+// terminal event as it happens.
+func TestEventLogLive(t *testing.T) {
 	svc := newTestService(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	id, err := svc.Enqueue(ghz(t), core.WithShots(1<<18), core.WithBackend(core.Trajectory),
@@ -77,29 +90,24 @@ func TestSubscribeLiveAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, release, err := svc.Subscribe(id)
+	j, err := svc.job(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second subscriber detaches immediately; its channel must not
-	// wedge the publisher.
-	_, release2, err := svc.Subscribe(id)
-	if err != nil {
-		t.Fatal(err)
+	if evs, wake := j.eventsSince(-1); wake == nil {
+		t.Fatalf("job settled before the reader waited: %+v", evs)
 	}
-	release2()
 
-	cancel() // abort the long job; the subscriber must see cancelled
-	var states []string
-	for ev := range events {
+	cancel() // abort the long job; the reader must see cancelled
+	states := []string{}
+	for _, ev := range readEvents(t, svc, id) {
 		states = append(states, ev.State)
 	}
-	release()
 	if states[len(states)-1] != "cancelled" {
 		t.Fatalf("lifecycle %v, want cancelled terminal", states)
 	}
-	if _, _, err := svc.Subscribe(JobID("j-999999")); err == nil {
-		t.Fatal("unknown job subscribed")
+	if _, err := svc.job(JobID("j-999999")); err == nil {
+		t.Fatal("unknown job has an event log")
 	}
 }
 
@@ -127,24 +135,24 @@ func TestEventsHTTPStream(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	var seqs []int
-	var lastData string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") {
-			lastData = strings.TrimPrefix(line, "data: ")
-			var ev Event
-			if err := json.Unmarshal([]byte(lastData), &ev); err != nil {
-				t.Fatalf("bad data %q: %v", lastData, err)
-			}
-			seqs = append(seqs, ev.Seq)
+	var lastData []byte
+	sse.Read(resp.Body, func(f sse.Frame) bool {
+		lastData = f.Data
+		var ev Event
+		if err := json.Unmarshal(f.Data, &ev); err != nil {
+			t.Fatalf("bad data %q: %v", f.Data, err)
 		}
-	}
+		if f.ID != strconv.Itoa(ev.Seq) {
+			t.Fatalf("frame id %q carries seq %d", f.ID, ev.Seq)
+		}
+		seqs = append(seqs, ev.Seq)
+		return false
+	})
 	if len(seqs) != 3 || seqs[0] != 0 || seqs[2] != 2 {
 		t.Fatalf("seqs %v", seqs)
 	}
 	var terminal Event
-	if err := json.Unmarshal([]byte(lastData), &terminal); err != nil || terminal.State != "done" || terminal.Result == nil {
+	if err := json.Unmarshal(lastData, &terminal); err != nil || terminal.State != "done" || terminal.Result == nil {
 		t.Fatalf("terminal %q err %v", lastData, err)
 	}
 
@@ -155,14 +163,23 @@ func TestEventsHTTPStream(t *testing.T) {
 	}
 	defer resume.Body.Close()
 	count := 0
-	sc = bufio.NewScanner(resume.Body)
-	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "data: ") {
-			count++
-		}
-	}
+	sse.Read(resume.Body, func(sse.Frame) bool {
+		count++
+		return false
+	})
 	if count != 1 {
 		t.Fatalf("resume replayed %d events, want 1", count)
+	}
+
+	// A non-integer resume point is a bad request, not a replay.
+	bad, err := ts.Client().Get(ts.URL + "/v1/jobs/" + string(id) + "/events?after=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(bad.Body)
+	bad.Body.Close()
+	if det, ok := httpapi.Decode(raw); bad.StatusCode != 400 || !ok || det.Code != httpapi.CodeInvalidRequest {
+		t.Fatalf("events?after=x: status %d body %s", bad.StatusCode, raw)
 	}
 
 	// Unknown jobs 404.

@@ -46,6 +46,7 @@ import (
 	"quditkit/internal/circuit"
 	"quditkit/internal/core"
 	"quditkit/internal/journal"
+	"quditkit/internal/sse"
 	"quditkit/internal/tenant"
 )
 
@@ -255,19 +256,16 @@ type job struct {
 	err    error
 	cached bool
 	done   chan struct{}
-	// events records every state transition for replay, in eventBuf:
-	// queued, running and terminal are the most a job records, so
-	// publishing never reallocates. subs are the live subscriber
-	// channels (see Subscribe in events.go).
-	events   []Event
+	// events records every state transition for its streams, in
+	// eventBuf: queued, running and terminal are the most a job
+	// records, so publishing never reallocates.
+	events   sse.Log[Event]
 	eventBuf [3]Event
-	subs     []chan Event
 }
 
 // newJob returns the record of a job about to be admitted: state
-// Queued, with its queued event already recorded — no subscriber can
-// exist before the ID is issued, so no fan-out is needed. Callers set
-// its context, and its ID when they publish it.
+// Queued, with its queued event already recorded. Callers set its
+// context, and its ID when they publish it.
 func newJob(c *circuit.Circuit, opts []core.RunOption, acct *tenant.Account) *job {
 	j := &job{
 		circ: c, opts: opts,
@@ -276,7 +274,8 @@ func newJob(c *circuit.Circuit, opts []core.RunOption, acct *tenant.Account) *jo
 		acct:  acct,
 		state: Queued, done: make(chan struct{}),
 	}
-	j.events = append(j.eventBuf[:0], Event{Seq: 0, State: Queued.String()})
+	j.events = sse.NewLog(j.eventBuf[:0])
+	j.publishLocked(Event{State: Queued.String()})
 	return j
 }
 
@@ -671,7 +670,7 @@ func (s *Service) job(id JobID) (*job, error) {
 // bumping the terminal-state counter. Later calls are no-ops, which is
 // what resolves cancel-vs-complete races. Every gauge and counter,
 // the service's and the tenant's, moves before the terminal event is
-// published and j.done closes, so a waiter or subscriber that wakes
+// published and j.done closes, so a waiter or stream that wakes
 // reads them already settled. The settle record is journaled after
 // the wake-up: losing it costs one deterministic re-run after a
 // crash, and an fsync ahead of the wake-up would delay every
