@@ -231,14 +231,6 @@ func NewManager(runner Runner, cfg Config) (*Manager, error) {
 	}, nil
 }
 
-// Anonymous returns the account sweeps run under when no tenant is
-// attached.
-func (m *Manager) Anonymous() *tenant.Account { return m.anon }
-
-// Tenants returns the registry the manager enforces, or nil when
-// untenanted.
-func (m *Manager) Tenants() *tenant.Registry { return m.cfg.Tenants }
-
 // Close cancels every running sweep and waits for their workers to
 // settle. Safe to call more than once.
 func (m *Manager) Close() {

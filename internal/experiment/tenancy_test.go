@@ -71,7 +71,8 @@ func doSweep(t *testing.T, method, url, key, body string) (int, []byte, http.Hea
 // and the reservation releasing when the sweep settles.
 func TestSweepTenantAuthQuotaOwnership(t *testing.T) {
 	release := make(chan struct{})
-	m := newTestManager(t, blockingRunner(release), Config{Tenants: sweepRegistry(t)})
+	reg := sweepRegistry(t)
+	m := newTestManager(t, blockingRunner(release), Config{Tenants: reg})
 	base := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	})
@@ -135,7 +136,7 @@ func TestSweepTenantAuthQuotaOwnership(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("wait: %d", status)
 		}
-		acme := m.Tenants().Resolve("acme", nil)
+		acme := reg.Resolve("acme", nil)
 		if acme.Snapshot().RunningSweeps == 0 {
 			break
 		}

@@ -646,15 +646,6 @@ func (s *Service) tenantUsage() []tenant.Usage {
 	return out
 }
 
-// Anonymous returns the service's fallback account — what plain
-// Enqueue submissions run as. Callers that pre-resolve accounts (the
-// sweep layer, tests) use it to label work explicitly.
-func (s *Service) Anonymous() *tenant.Account { return s.anon }
-
-// Tenants returns the configured registry, or nil when the service
-// runs single-tenant.
-func (s *Service) Tenants() *tenant.Registry { return s.cfg.Tenants }
-
 // job looks up a job record by ID.
 func (s *Service) job(id JobID) (*job, error) {
 	s.mu.Lock()

@@ -364,12 +364,12 @@ func TestJournalReplayRestoresTenantAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bob := s.Tenants().Resolve("bob", nil)
+	bob := s.cfg.Tenants.Resolve("bob", nil)
 	if u := bob.Snapshot(); u.Enqueued != 1 || u.Completed != 1 || u.QueuedJobs != 0 || u.InflightShots != 0 {
 		t.Fatalf("bob's accounting not restored by replay: %+v", u)
 	}
 	// "ghost" is not in the registry: its job ran under anonymous.
-	if u := s.Anonymous().Snapshot(); u.Enqueued != 1 || u.Completed != 1 {
+	if u := s.anon.Snapshot(); u.Enqueued != 1 || u.Completed != 1 {
 		t.Fatalf("unknown-tenant record not absorbed by anonymous: %+v", u)
 	}
 }
