@@ -9,6 +9,7 @@ import (
 
 	"quditkit/internal/fit"
 	"quditkit/internal/qaoa"
+	"quditkit/internal/rb"
 	"quditkit/internal/serve"
 )
 
@@ -74,56 +75,23 @@ func (a *rbAggregator) finalize(cells []*cellRecord) (*Aggregate, error) {
 		lengths = append(lengths, m)
 	}
 	sort.Ints(lengths)
-	rb := &RBAggregate{}
-	for _, m := range lengths {
-		rb.Points = append(rb.Points, RBPoint{Length: m, Survival: sums[m] / float64(counts[m])})
+	agg := &RBAggregate{}
+	points := make([]rb.Point, len(lengths))
+	for i, m := range lengths {
+		points[i] = rb.Point{Length: m, Survival: sums[m] / float64(counts[m])}
+		agg.Points = append(agg.Points, RBPoint(points[i]))
 	}
-	out := &Aggregate{RB: rb}
-	if len(rb.Points) < 2 {
-		return out, fmt.Errorf("experiment: rb fit needs >= 2 lengths with done cells, got %d", len(rb.Points))
+	out := &Aggregate{RB: agg}
+	if len(agg.Points) < 2 {
+		return out, fmt.Errorf("experiment: rb fit needs >= 2 lengths with done cells, got %d", len(agg.Points))
 	}
-	p, err := fitDecay(rb.Points, a.dim)
+	p, err := rb.FitDecay(points, a.dim)
 	if err != nil {
 		return out, err
 	}
-	rb.DecayRate = p
-	rb.AvgGateInfidelity = (1 - p) * float64(a.dim-1) / float64(a.dim)
+	agg.DecayRate = p
+	agg.AvgGateInfidelity = (1 - p) * float64(a.dim-1) / float64(a.dim)
 	return out, nil
-}
-
-// fitDecay fits survival = A p^m + 1/d by log-linear least squares on
-// the floor-subtracted curve, mirroring internal/rb: points at or below
-// the floor are skipped, and p is clamped to [0,1].
-func fitDecay(points []RBPoint, d int) (float64, error) {
-	floor := 1.0 / float64(d)
-	var sx, sy, sxx, sxy float64
-	n := 0
-	for _, pt := range points {
-		y := pt.Survival - floor
-		if y <= 1e-12 {
-			continue
-		}
-		x := float64(pt.Length)
-		ly := math.Log(y)
-		sx += x
-		sy += ly
-		sxx += x * x
-		sxy += x * ly
-		n++
-	}
-	if n < 2 {
-		return 0, fmt.Errorf("experiment: rb decay fully saturated")
-	}
-	den := float64(n)*sxx - sx*sx
-	if den == 0 {
-		return 0, fmt.Errorf("experiment: rb lengths are degenerate")
-	}
-	slope := (float64(n)*sxy - sx*sy) / den
-	p := math.Exp(slope)
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
 }
 
 // qaoaAggregator scores outcomes against the instance graph.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"quditkit/internal/rb"
 	"quditkit/internal/serve"
 	"quditkit/internal/tenant"
 )
@@ -451,5 +452,26 @@ func TestSweepIDsAreSequential(t *testing.T) {
 			t.Fatalf("sweep id %q, want %q", id, want)
 		}
 		awaitSweep(t, m, id)
+	}
+}
+
+// TestRBAggregateSaturated: when every length's survival sits at the
+// depolarized floor, the sweep keeps its survival curve and reports
+// the shared RB fit's error as its aggregate error.
+func TestRBAggregateSaturated(t *testing.T) {
+	a := &rbAggregator{dim: 3}
+	var cells []*cellRecord
+	for _, m := range []float64{1, 2, 4} {
+		cells = append(cells, &cellRecord{
+			cell:  cell{params: map[string]float64{"length": m}},
+			state: cellDone, metric: 1.0 / 3, hasMetric: true,
+		})
+	}
+	agg, err := a.finalize(cells)
+	if !errors.Is(err, rb.ErrBadProtocol) || !strings.Contains(err.Error(), "decay fully saturated") {
+		t.Fatalf("err = %v, want the rb fit's saturation error", err)
+	}
+	if agg == nil || agg.RB == nil || len(agg.RB.Points) != 3 {
+		t.Fatalf("partial aggregate %+v", agg)
 	}
 }

@@ -110,7 +110,7 @@ func Run(rng *rand.Rand, opts Options) (*Result, error) {
 		}
 		res.Points = append(res.Points, Point{Length: m, Survival: sum / float64(opts.Sequences)})
 	}
-	p, err := fitDecay(res.Points, d)
+	p, err := FitDecay(res.Points, d)
 	if err != nil {
 		return nil, err
 	}
@@ -128,9 +128,11 @@ func applyGateNoise(rho *density.DM, model noise.Model, d int) error {
 	return nil
 }
 
-// fitDecay estimates p from survival = A p^m + B with B fixed to the
-// depolarized floor 1/d, by least squares on log(survival - 1/d).
-func fitDecay(points []Point, d int) (float64, error) {
+// FitDecay estimates the per-gate decay p from survival = A p^m + B,
+// with B fixed to the depolarized floor 1/d, by least squares on
+// log(survival - 1/d); p is clamped to at most 1. It is the one RB fit:
+// E12 and the served RB sweep aggregate both use it.
+func FitDecay(points []Point, d int) (float64, error) {
 	floor := 1 / float64(d)
 	var sx, sy, sxx, sxy float64
 	n := 0
@@ -155,12 +157,5 @@ func fitDecay(points []Point, d int) (float64, error) {
 		return 0, fmt.Errorf("%w: degenerate lengths", ErrBadProtocol)
 	}
 	slope := (float64(n)*sxy - sx*sy) / den
-	p := math.Exp(slope)
-	if p > 1 {
-		p = 1
-	}
-	if p < 0 {
-		p = 0
-	}
-	return p, nil
+	return min(math.Exp(slope), 1), nil
 }

@@ -1,6 +1,7 @@
 package rb
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,5 +105,31 @@ func TestDamplingBiasesButStillDecays(t *testing.T) {
 	}
 	if res.AvgGateInfidelity <= 0 {
 		t.Errorf("no infidelity measured under damping: %v", res.AvgGateInfidelity)
+	}
+}
+
+// TestFitDecay: the fit recovers a known decay, clamps a rising curve
+// to p = 1, and rejects a saturated curve and a single length.
+func TestFitDecay(t *testing.T) {
+	const d = 3
+	var exact []Point
+	for _, m := range []int{1, 2, 4, 8} {
+		exact = append(exact, Point{Length: m, Survival: 0.6*math.Pow(0.9, float64(m)) + 1.0/d})
+	}
+	if p, err := FitDecay(exact, d); err != nil || math.Abs(p-0.9) > 1e-12 {
+		t.Fatalf("exact curve: p = %v, %v; want 0.9", p, err)
+	}
+	rising := []Point{{1, 0.5}, {2, 0.6}}
+	if p, err := FitDecay(rising, d); err != nil || p != 1 {
+		t.Fatalf("rising curve: p = %v, %v; want 1", p, err)
+	}
+	for name, pts := range map[string][]Point{
+		"saturated":    {{1, 1.0 / d}, {2, 0.2}, {4, 1.0 / d}},
+		"one length":   {{4, 0.9}, {4, 0.8}},
+		"single point": {{1, 0.9}},
+	} {
+		if _, err := FitDecay(pts, d); !errors.Is(err, ErrBadProtocol) {
+			t.Errorf("%s: err = %v, want ErrBadProtocol", name, err)
+		}
 	}
 }
