@@ -46,7 +46,7 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("docscheck", flag.ExitOnError)
-	exported := fs.String("exported", "internal/cluster,internal/serve,internal/core,internal/experiment,internal/chaos,internal/journal,internal/tenant,internal/httpapi,internal/metrics",
+	exported := fs.String("exported", "internal/cluster,internal/serve,internal/core,internal/experiment,internal/chaos,internal/journal,internal/tenant,internal/httpapi,internal/metrics,internal/sse",
 		"comma-separated trees whose exported identifiers must all carry doc comments")
 	flagrefs := fs.Bool("flagrefs", false,
 		"treat arguments as documentation files and fail on references to unregistered flags")

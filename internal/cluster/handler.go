@@ -27,7 +27,8 @@ import (
 //	                              surviving worker loss via requeue)
 //	GET    /v1/jobs/{id}          proxied status (?wait=1 blocks)
 //	GET    /v1/jobs/{id}/events   SSE relay of the owning worker's
-//	                              event stream; emits a "requeued"
+//	                              event stream from the client's
+//	                              resume point; emits a "requeued"
 //	                              event and re-attaches on worker loss
 //	DELETE /v1/jobs/{id}          proxied cancel
 //	GET    /v1/stats              fleet aggregate with per-worker gauges
@@ -356,8 +357,8 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// after counts in the stream of the worker job that owned the
-	// record at requeue count stream.
+	// after counts in one worker job's stream: the one that owned the
+	// record at requeue count stream. A requeue starts a fresh stream.
 	_, _, stream, _ := rec.snapshot()
 	for attempt := 0; attempt <= c.cfg.MaxRequeues+1; attempt++ {
 		workerID, remoteID, requeues, settled := rec.snapshot()
