@@ -357,15 +357,17 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// after counts in one worker job's stream: the one that owned the
-	// record at requeue count stream. A requeue starts a fresh stream.
+	// after is a seq in the stream of the worker job the record had at
+	// requeue count stream; the worker job a requeue moves it to
+	// numbers its stream from 0 again.
 	_, _, stream, _ := rec.snapshot()
 	for attempt := 0; attempt <= c.cfg.MaxRequeues+1; attempt++ {
 		workerID, remoteID, requeues, settled := rec.snapshot()
 		if settled != nil {
-			// Settled records answer from the coordinator: send the
-			// terminal event a late subscriber needs.
-			data, _ := json.Marshal(serve.Event{State: settled.State, Cached: settled.Cached, Error: settled.Error, Result: settled.Result})
+			// Settled records answer from the coordinator: synthesize
+			// the terminal event a late subscriber needs.
+			ev := serve.Event{State: settled.State, Cached: settled.Cached, Error: settled.Error, Result: settled.Result}
+			data, _ := json.Marshal(ev)
 			_ = sse.Write(w, sse.Frame{Event: "state", Data: data})
 			flusher.Flush()
 			return
@@ -373,8 +375,9 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if requeues != stream {
 			after, stream = -1, requeues
 		}
-		if url := c.workerURL(workerID); url != "" {
-			terminal := c.relayWorkerStream(w, flusher, r, rec, url+"/v1/jobs/"+remoteID+"/events", &after)
+		url := c.workerURL(workerID)
+		if url != "" {
+			terminal := c.relayWorkerStream(w, flusher, r, rec, url, remoteID, &after)
 			if terminal || r.Context().Err() != nil {
 				return
 			}
@@ -410,7 +413,8 @@ func pause(ctx context.Context, d time.Duration) {
 // event *after, frame by frame, advancing *after past each. A terminal
 // event also settles the coordinator's record. It reports whether a
 // terminal event was relayed.
-func (c *Coordinator) relayWorkerStream(w http.ResponseWriter, flusher http.Flusher, r *http.Request, rec *jobRecord, url string, after *int) bool {
+func (c *Coordinator) relayWorkerStream(w http.ResponseWriter, flusher http.Flusher, r *http.Request, rec *jobRecord, url, remoteID string, after *int) bool {
+	url += "/v1/jobs/" + remoteID + "/events"
 	if *after >= 0 {
 		url += "?after=" + strconv.Itoa(*after)
 	}
