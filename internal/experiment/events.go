@@ -40,7 +40,8 @@ func (e SweepEvent) terminal() bool {
 }
 
 // publishLocked records an event on the sweep's log, waking the
-// streams that wait for it; the caller holds s.mu.
+// streams that wait for it; the caller holds s.mu, or has not
+// published the sweep yet.
 func (s *sweep) publishLocked(ev SweepEvent) {
 	ev.Seq = s.events.Len()
 	s.events.Append(ev, ev.terminal())

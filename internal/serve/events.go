@@ -43,7 +43,8 @@ func Terminal(state string) bool {
 }
 
 // publishLocked records an event on the job's log, waking the streams
-// that wait for it; the caller holds j.mu.
+// that wait for it; the caller holds j.mu, or has not published the
+// job yet.
 func (j *job) publishLocked(ev Event) {
 	ev.Seq = j.events.Len()
 	j.events.Append(ev, Terminal(ev.State))
