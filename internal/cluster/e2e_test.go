@@ -267,6 +267,15 @@ func TestRelayResumes(t *testing.T) {
 		t.Fatalf("submit: status %d %+v", status, view)
 	}
 	url := f.ts.URL + "/v1/jobs/" + view.ID + "/events"
+	nextQuery := func() string {
+		select {
+		case q := <-queries:
+			return q
+		case <-time.After(time.Minute):
+			t.Fatal("the worker got no event-stream request")
+			return ""
+		}
+	}
 
 	// Watch until the job runs, then drop the connection.
 	resp, err := http.Get(url)
@@ -282,7 +291,7 @@ func TestRelayResumes(t *testing.T) {
 	if seen != 2 {
 		t.Fatalf("first connection read %d frames before seq 1", seen)
 	}
-	if q := <-queries; q != "" {
+	if q := nextQuery(); q != "" {
 		t.Fatalf("a fresh watch asked the worker for %q", q)
 	}
 
@@ -313,7 +322,7 @@ func TestRelayResumes(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2; i++ {
-		if q := <-queries; q != "after=1" {
+		if q := nextQuery(); q != "after=1" {
 			t.Fatalf("a resumed watch asked the worker for %q, want after=1", q)
 		}
 	}
@@ -344,7 +353,12 @@ func TestRelayResumes(t *testing.T) {
 		t.Fatalf("worker resumed after seq 1 with %q", want)
 	}
 	for i := 0; i < 2; i++ {
-		got := <-bodies
+		var got result
+		select {
+		case got = <-bodies:
+		case <-time.After(time.Minute):
+			t.Fatal("a resumed watch did not end after the job settled")
+		}
 		if got.err != nil {
 			t.Fatal(got.err)
 		}

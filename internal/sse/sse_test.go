@@ -3,6 +3,7 @@ package sse
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,7 +35,7 @@ func TestLogSince(t *testing.T) {
 		after int
 		want  string
 	}{
-		{-1, "[10 11]"}, {-7, "[10 11]"}, {0, "[11]"}, {1, "[]"}, {5, "[]"}, {int(^uint(0) >> 1), "[]"},
+		{-1, "[10 11]"}, {-7, "[10 11]"}, {0, "[11]"}, {1, "[]"}, {5, "[]"}, {math.MaxInt, "[]"},
 	} {
 		evs, wake := l.Since(c.after)
 		if got := fmt.Sprint(evs); got != c.want || wake == nil {
