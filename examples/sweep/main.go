@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -24,6 +23,7 @@ import (
 	"quditkit/internal/core"
 	"quditkit/internal/experiment"
 	"quditkit/internal/serve"
+	"quditkit/internal/sse"
 )
 
 func main() {
@@ -129,21 +129,14 @@ func stream(base, id string) (*experiment.SweepView, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("events returned %d", resp.StatusCode)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	settled := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
+	var final *experiment.SweepView
+	settled := sse.Read(resp.Body, func(f sse.Frame) bool {
 		var ev experiment.SweepEvent
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			continue
+		if err := json.Unmarshal(f.Data, &ev); err != nil {
+			return false
 		}
 		switch {
 		case ev.Type == experiment.EventCell && ev.Cell != nil:
-			settled++
 			if ev.Cell.Metric != nil {
 				fmt.Printf("  cell %2d (gamma=%.2f beta=%.2f): %s ratio=%.3f\n",
 					ev.Cell.Index, ev.Cell.Params["gamma"], ev.Cell.Params["beta"],
@@ -152,16 +145,18 @@ func stream(base, id string) (*experiment.SweepView, error) {
 				fmt.Printf("  cell %2d: %s %s\n", ev.Cell.Index, ev.Cell.State, ev.Cell.Error)
 			}
 		case ev.Type == experiment.EventSweep && ev.State != experiment.SweepRunning:
-			if ev.Sweep == nil {
-				return nil, fmt.Errorf("terminal event without view")
-			}
-			return ev.Sweep, nil
+			final = ev.Sweep
+			return true
 		}
+		return false
+	})
+	if !settled {
+		return nil, fmt.Errorf("stream ended before sweep %s settled", id)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if final == nil {
+		return nil, fmt.Errorf("terminal event without view")
 	}
-	return nil, fmt.Errorf("stream ended before sweep %s settled", id)
+	return final, nil
 }
 
 // printAggregate renders the QAOA ratio surface and best angles.
