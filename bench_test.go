@@ -95,7 +95,7 @@ func BenchmarkE14Swap3D(b *testing.B) { benchExperiment(b, "E14") }
 // --- Ablation benches (design choices called out in DESIGN.md §5) ---
 
 // BenchmarkAblationApplyStride measures the strided gather/scatter gate
-// application used by the simulator.
+// application used by the simulator: one CSUM through a compiled plan.
 func BenchmarkAblationApplyStride(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	dims := hilbert.Uniform(6, 3) // 729-dim register
@@ -104,10 +104,22 @@ func BenchmarkAblationApplyStride(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := gates.CSUM(3, 3)
+	c, err := circuit.New(dims)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.MustAppend(gates.CSUM(3, 3), 2, 4)
+	plan, err := c.Compile(noise.Model{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws, err := plan.NewWorkspace()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := v.Apply(g, 2, 4); err != nil {
+		if err := plan.RunPureOn(ws, v); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,28 +317,6 @@ func BenchmarkTrajectoryPlanShot(b *testing.B) {
 			b.Fatal(err)
 		}
 		sampler.Load(ws.BornProbabilities())
-		sampler.Draw(rng)
-	}
-}
-
-// BenchmarkTrajectoryInterpretedShot is the legacy per-op interpreter
-// on the identical workload, kept as the ablation baseline for the
-// compiled-plan speedup recorded in BENCH_3.json.
-func BenchmarkTrajectoryInterpretedShot(b *testing.B) {
-	c := ghzCircuit(b, 4)
-	model := noise.Model{Depol1: 1e-4, Depol2: 1e-3, Damping: 2e-3, Dephasing: 1e-3}
-	rng := rand.New(new(qmath.ShotSource))
-	base := core.DeriveSeed(0, "bench-shot")
-	var sampler qmath.CDFSampler
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng.Seed(base + int64(i))
-		v, err := c.RunTrajectory(rng, model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sampler.Load(v.Probabilities())
 		sampler.Draw(rng)
 	}
 }

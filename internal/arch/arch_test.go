@@ -8,6 +8,7 @@ import (
 	"quditkit/internal/circuit"
 	"quditkit/internal/gates"
 	"quditkit/internal/hilbert"
+	"quditkit/internal/noise"
 )
 
 func TestForecastDeviceCapacity(t *testing.T) {
@@ -201,10 +202,15 @@ func TestRouteCircuitInsertsSwaps(t *testing.T) {
 	if err := prep.Compose(phys); err != nil {
 		t.Fatal(err)
 	}
-	v, err := prep.Run()
+	plan, err := prep.Compile(noise.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws, err := plan.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := plan.RunPure(ws)
 	// After routing, logical 1 should hold (1+2) mod 3 = 0 wherever it
 	// ended up. Find it: total probability must sit on a single basis
 	// state; decode digits.

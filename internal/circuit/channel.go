@@ -74,12 +74,6 @@ func chanScratchSized(maxWireDim, maxKraus int, hasDense bool) chanScratch {
 	return cs
 }
 
-func newChanScratch(numWires int, cc *compiledChannel) *chanScratch {
-	cs := chanScratchSized(cc.d, len(cc.kraus), !cc.monomial)
-	cs.digits = make([]int, numWires)
-	return &cs
-}
-
 // compileChannel classifies every Kraus operator of a channel and
 // precomputes its branch-probability data.
 func compileChannel(ch noise.Channel) (*compiledChannel, error) {

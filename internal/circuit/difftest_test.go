@@ -1,7 +1,6 @@
-// Package difftest is the differential proof layer for the execution
-// engines. It drives one (circuit, noise model, seed, shots) case
-// through every path and demands byte-identical results. Run covers
-// the trajectory engine:
+// The differential proof layer for the execution engines. It drives
+// one (circuit, noise model, seed, shots) case through every path and
+// demands byte-identical results. runCase covers the trajectory engine:
 //
 //   - Every trajectory shot runs three ways — the per-op interpreter
 //     (Circuit.RunTrajectory), the compiled plan without fusion, and the
@@ -17,7 +16,7 @@
 //     per-shot identity plus identity across widths proves its Execution
 //     is the one the interpreter would give.
 //
-// Exact covers the pure path (Plan.RunPure against Circuit.Run) and the
+// exact covers the pure path (Plan.RunPure against Circuit.Run) and the
 // density path (Plan.RunDensity against the interpreted
 // Circuit.RunDensityOn), fused and unfused.
 //
@@ -25,16 +24,19 @@
 // every fast path must perform the same floating-point operations in
 // the same order as the reference, so any divergence — a reordered
 // accumulation, a fused kernel that rounds differently, an extra rng
-// draw — is a hard failure, not tolerance noise. The package is a
-// library so the CI race job, the fuzz targets, and ad-hoc debugging
-// can all reuse the same comparator.
-package difftest
+// draw — is a hard failure, not tolerance noise. The grid lives in
+// circuit's external test package, which can import core without an
+// import cycle and still sees the interpreter declared in
+// interp_test.go.
+
+package circuit_test
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"testing"
 
 	"quditkit/internal/circuit"
 	"quditkit/internal/core"
@@ -45,9 +47,9 @@ import (
 	"quditkit/internal/qmath"
 )
 
-// Case is one differential tuple: a circuit, the noise model to
+// diffCase is one differential tuple: a circuit, the noise model to
 // unravel, and the sampling seed/shot budget shared by every path.
-type Case struct {
+type diffCase struct {
 	Name    string
 	Circuit *circuit.Circuit
 	Noise   noise.Model
@@ -55,22 +57,15 @@ type Case struct {
 	Shots   int
 }
 
-// Config spans the execution grid: the worker counts the trajectory
-// backend runs at. Width 1 is always the reference.
-type Config struct {
-	Workers []int
-}
+// gridWorkers are the worker counts the trajectory backend runs each
+// case at. Width 1 is always the reference.
+var gridWorkers = []int{1, 4, 8}
 
-// DefaultConfig is the acceptance grid: worker counts {1,4,8}.
-func DefaultConfig() Config {
-	return Config{Workers: []int{1, 4, 8}}
-}
-
-// Run executes the case through every trajectory path and returns an
-// error naming the first one that diverges: the per-shot oracle
-// (shots), then the backend at every worker count of cfg against
-// width 1.
-func Run(cs Case, cfg Config) error {
+// runCase executes the case through every trajectory path and returns
+// an error naming the first one that diverges: the per-shot oracle
+// (shots), then the backend at every worker count of gridWorkers
+// against width 1.
+func runCase(cs diffCase) error {
 	if err := shots(cs); err != nil {
 		return err
 	}
@@ -78,7 +73,7 @@ func Run(cs Case, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("%s: workers=1: %w", cs.Name, err)
 	}
-	for _, w := range cfg.Workers {
+	for _, w := range gridWorkers {
 		if w == 1 {
 			continue
 		}
@@ -86,14 +81,14 @@ func Run(cs Case, cfg Config) error {
 		if err != nil {
 			return fmt.Errorf("%s: workers=%d: %w", cs.Name, w, err)
 		}
-		if err := Compare(cs, ref, got, "workers=1", fmt.Sprintf("workers=%d", w)); err != nil {
+		if err := compare(cs, ref, got, "workers=1", fmt.Sprintf("workers=%d", w)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func exec(cs Case, workers int) (core.Execution, error) {
+func exec(cs diffCase, workers int) (core.Execution, error) {
 	return core.TrajectoryBackend{}.Execute(cs.Circuit, core.ExecSpec{
 		Noise: cs.Noise, Shots: cs.Shots, Seed: cs.Seed, Workers: workers,
 	})
@@ -101,7 +96,7 @@ func exec(cs Case, workers int) (core.Execution, error) {
 
 // plans compiles the case's circuit against its noise model without and
 // with fusion.
-func plans(cs Case) (unfused, fused *circuit.Plan, err error) {
+func plans(cs diffCase) (unfused, fused *circuit.Plan, err error) {
 	unfused, err = cs.Circuit.CompileWith(cs.Noise, circuit.CompileOptions{DisableFusion: true})
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: compile without fusion: %w", cs.Name, err)
@@ -118,7 +113,7 @@ func plans(cs Case) (unfused, fused *circuit.Plan, err error) {
 // from a qmath.ShotSource seeded alike (from cs.Seed, not the backend's
 // per-shot seeds); each shot must leave equal amplitudes on all three
 // (see firstDiff), and the next draw of all three streams must agree.
-func shots(cs Case) error {
+func shots(cs diffCase) error {
 	unfused, fused, err := plans(cs)
 	if err != nil {
 		return err
@@ -169,12 +164,12 @@ func shots(cs Case) error {
 	return nil
 }
 
-// Exact compares the exact engines with their interpreted references,
+// exact compares the exact engines with their interpreted references,
 // bit for bit, on plans compiled without and with fusion: Plan.RunPure
 // against Circuit.Run, and Plan.RunDensity against
 // Circuit.RunDensityOn under the case's noise model, idle rates
 // included.
-func Exact(cs Case) error {
+func exact(cs diffCase) error {
 	unfused, fused, err := plans(cs)
 	if err != nil {
 		return err
@@ -234,11 +229,11 @@ func firstDiff(a, b []complex128) int {
 	return -1
 }
 
-// Compare asserts two executions of the same case are byte-identical:
+// compare asserts two executions of the same case are byte-identical:
 // exact Counts equality, bitwise MeanProbs, bitwise per-wire
 // marginals derived from MeanProbs, and bitwise state amplitudes when
 // both paths expose a state.
-func Compare(cs Case, ref, got core.Execution, refName, gotName string) error {
+func compare(cs diffCase, ref, got core.Execution, refName, gotName string) error {
 	if !reflect.DeepEqual(ref.Counts, got.Counts) {
 		return fmt.Errorf("%s: Counts diverge between %s and %s:\n%s: %v\n%s: %v",
 			cs.Name, refName, gotName, refName, ref.Counts, gotName, got.Counts)
@@ -253,11 +248,11 @@ func Compare(cs Case, ref, got core.Execution, refName, gotName string) error {
 				cs.Name, i, refName, gotName, ref.MeanProbs[i], got.MeanProbs[i])
 		}
 	}
-	refMarg, err := Marginals(cs.Circuit.Dims(), ref.MeanProbs)
+	refMarg, err := marginals(cs.Circuit.Dims(), ref.MeanProbs)
 	if err != nil {
 		return fmt.Errorf("%s: %w", cs.Name, err)
 	}
-	gotMarg, err := Marginals(cs.Circuit.Dims(), got.MeanProbs)
+	gotMarg, err := marginals(cs.Circuit.Dims(), got.MeanProbs)
 	if err != nil {
 		return fmt.Errorf("%s: %w", cs.Name, err)
 	}
@@ -279,10 +274,10 @@ func Compare(cs Case, ref, got core.Execution, refName, gotName string) error {
 	return nil
 }
 
-// Marginals reduces flat basis probabilities to per-wire outcome
+// marginals reduces flat basis probabilities to per-wire outcome
 // distributions, accumulating in ascending flat-index order so equal
 // inputs give bitwise-equal outputs.
-func Marginals(dims hilbert.Dims, probs []float64) ([][]float64, error) {
+func marginals(dims hilbert.Dims, probs []float64) ([][]float64, error) {
 	sp, err := hilbert.NewSpace(dims)
 	if err != nil {
 		return nil, err
@@ -299,14 +294,14 @@ func Marginals(dims hilbert.Dims, probs []float64) ([][]float64, error) {
 	return out, nil
 }
 
-// RandomCircuit builds a deterministic pseudo-random circuit on the
+// randomCircuit builds a deterministic pseudo-random circuit on the
 // given register: n gates drawn across every kernel class — diagonal
 // (Z, SNAP), monomial (X, XPow), dense (DFT, Givens), and, between
 // same-dimension wire pairs, controlled (CSUM) and diagonal two-qudit
 // (CZ). Wires are picked with a bias toward repeating the previous
 // target so adjacent same-wire runs — the structure fusion collapses —
 // occur often rather than occasionally.
-func RandomCircuit(dims hilbert.Dims, n int, seed int64) (*circuit.Circuit, error) {
+func randomCircuit(dims hilbert.Dims, n int, seed int64) (*circuit.Circuit, error) {
 	c, err := circuit.New(dims)
 	if err != nil {
 		return nil, err
@@ -365,4 +360,180 @@ func RandomCircuit(dims hilbert.Dims, n int, seed int64) (*circuit.Circuit, erro
 		prev = w
 	}
 	return c, nil
+}
+
+// gateNoise is the noisy model of the grid: depolarizing, damping, and
+// dephasing after every gate, so every compiled op carries channels and
+// every shot samples each of them.
+var gateNoise = noise.Model{Depol1: 0.05, Depol2: 0.10, Damping: 0.02, Dephasing: 0.03}
+
+// idleNoise adds idle decoherence, which only the density path applies:
+// it charges idle channels to untouched wires once per ASAP moment, and
+// it keeps the plan unfused (every moment becomes a barrier). The
+// trajectory paths ignore idle rates, so the grid runs this model
+// through Exact only.
+var idleNoise = noise.Model{
+	Depol1: 0.05, Depol2: 0.10, Damping: 0.02, Dephasing: 0.03,
+	IdleDamping: 0.01, IdleDephasing: 0.02,
+}
+
+// TestDifferentialGrid is the acceptance grid: every (circuit, noise
+// model, seed) case runs each shot through the interpreter, the unfused
+// plan and the fused plan, runs the trajectory backend at worker counts
+// {1,4,8} (Run), and compares the pure and density paths with their
+// interpreted references (Exact). Every comparison must be bit-exact.
+// The interpreted density reference clones ρ for each Kraus operator,
+// so the 64-dimension register runs Exact at seed 1 only, which keeps
+// the race-detector run short.
+func TestDifferentialGrid(t *testing.T) {
+	t.Parallel()
+	registers := []hilbert.Dims{
+		{3, 3, 3},    // the paper's qutrit register
+		{2, 3, 4},    // mixed radix: strides differ per wire
+		{4, 4, 2, 2}, // two fusable same-dim pairs plus qubit tail
+	}
+	models := []struct {
+		name         string
+		model        noise.Model
+		trajectories bool
+	}{
+		{"noiseless", noise.Model{}, true},
+		{"gatenoise", gateNoise, true},
+		{"idlenoise", idleNoise, false},
+	}
+	for ri, dims := range registers {
+		for _, m := range models {
+			for seed := int64(1); seed <= 3; seed++ {
+				c, err := randomCircuit(dims, 24, seed*101+int64(ri))
+				if err != nil {
+					t.Fatalf("randomCircuit(%v, seed %d): %v", dims, seed, err)
+				}
+				cs := diffCase{
+					Name:    fmt.Sprintf("dims=%v/%s/seed=%d", dims, m.name, seed),
+					Circuit: c,
+					Noise:   m.model,
+					Seed:    seed,
+					Shots:   96,
+				}
+				runExact := dims.Total() <= 27 || seed == 1
+				t.Run(cs.Name, func(t *testing.T) {
+					t.Parallel()
+					if m.trajectories {
+						if err := runCase(cs); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if runExact {
+						if err := exact(cs); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDifferentialGHZ pins the tracked workload from the paper — the
+// 3-qutrit GHZ preparation under depolarizing noise — through the same
+// grid, so the exact circuit the benchmarks and the service exercise
+// is also the one proven byte-identical.
+func TestDifferentialGHZ(t *testing.T) {
+	t.Parallel()
+	c, err := circuit.New(hilbert.Dims{3, 3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		g       gates.Gate
+		targets []int
+	}{
+		{gates.DFT(3), []int{0}},
+		{gates.CSUM(3, 3), []int{0, 1}},
+		{gates.CSUM(3, 3), []int{0, 2}},
+	} {
+		if err := c.Append(step.g, step.targets...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model := noise.Model{Depol1: 0.02}
+	if err := exact(diffCase{Name: "ghz", Circuit: c, Noise: model}); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cs := diffCase{
+			Name:    fmt.Sprintf("ghz/seed=%d", seed),
+			Circuit: c,
+			Noise:   model,
+			Seed:    seed,
+			Shots:   256,
+		}
+		t.Run(cs.Name, func(t *testing.T) {
+			t.Parallel()
+			if err := runCase(cs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCompareDetectsDivergence proves the comparator has teeth: a
+// single flipped mantissa bit in MeanProbs, a count moved between two
+// outcomes, and a perturbed marginal must each fail.
+func TestCompareDetectsDivergence(t *testing.T) {
+	t.Parallel()
+	c, err := randomCircuit(hilbert.Dims{2, 3}, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := diffCase{Name: "teeth", Circuit: c, Seed: 7, Shots: 32}
+	ref, err := core.TrajectoryBackend{}.Execute(c, core.ExecSpec{Shots: 32, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compare(cs, ref, ref, "a", "b"); err != nil {
+		t.Fatalf("identical executions compared unequal: %v", err)
+	}
+
+	flipped := ref
+	flipped.MeanProbs = append([]float64(nil), ref.MeanProbs...)
+	flipped.MeanProbs[0] = math.Float64frombits(math.Float64bits(flipped.MeanProbs[0]) ^ 1)
+	if err := compare(cs, ref, flipped, "ref", "bitflip"); err == nil {
+		t.Fatal("single-ULP MeanProbs perturbation not detected")
+	}
+
+	moved := ref
+	moved.Counts = make(core.Counts, len(ref.Counts))
+	for k, v := range ref.Counts {
+		moved.Counts[k] = v
+	}
+	var first string
+	for k := range moved.Counts {
+		first = k
+		break
+	}
+	moved.Counts[first]++
+	if err := compare(cs, ref, moved, "ref", "moved"); err == nil {
+		t.Fatal("counts divergence not detected")
+	}
+}
+
+// TestMarginalsSumToWireDistributions checks the marginal reduction on
+// a hand-computable case: a product state |1> ⊗ uniform.
+func TestMarginalsSumToWireDistributions(t *testing.T) {
+	t.Parallel()
+	dims := hilbert.Dims{2, 3}
+	probs := []float64{0, 0, 0, 1 / 3.0, 1 / 3.0, 1 / 3.0}
+	marg, err := marginals(dims, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if marg[0][0] != 0 || marg[0][1] != 1 {
+		t.Fatalf("wire 0 marginal = %v, want [0 1]", marg[0])
+	}
+	for g := 0; g < 3; g++ {
+		if math.Abs(marg[1][g]-1/3.0) > 1e-15 {
+			t.Fatalf("wire 1 marginal = %v, want uniform", marg[1])
+		}
+	}
 }

@@ -488,10 +488,24 @@ func (ws *Workspace) BornProbabilities() []float64 {
 // |0...0> state and returns the workspace state (alias, not a copy).
 func (p *Plan) RunPure(ws *Workspace) *state.Vec {
 	ws.vec.ResetZero()
-	for i := range p.ops {
-		p.ops[i].apply(ws.amps, ws)
-	}
+	p.applyPure(ws.amps, ws)
 	return ws.vec
+}
+
+// RunPureOn executes the compiled ops noiselessly on v in place, with
+// ws as scratch; v must be on the plan's register.
+func (p *Plan) RunPureOn(ws *Workspace, v *state.Vec) error {
+	if !v.Dims().Equal(p.space.Dims()) {
+		return fmt.Errorf("circuit: state dims %v != plan dims %v", v.Dims(), p.space.Dims())
+	}
+	p.applyPure(v.RawAmplitudes(), ws)
+	return nil
+}
+
+func (p *Plan) applyPure(amps qmath.Vector, ws *Workspace) {
+	for i := range p.ops {
+		p.ops[i].apply(amps, ws)
+	}
 }
 
 // RunShot executes one stochastic quantum-trajectory unraveling on the
@@ -740,41 +754,4 @@ func (p *Plan) applyNoisyOp(r *density.DM, op *planOp) error {
 		}
 	}
 	return nil
-}
-
-// AverageTrajectories runs n stochastic shots through one reused
-// workspace and returns the averaged density matrix, accumulating the
-// outer products in place instead of materializing one per trajectory.
-func (p *Plan) AverageTrajectories(rng *rand.Rand, n int) (*density.DM, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("circuit: trajectory count must be positive")
-	}
-	dim := p.space.Total()
-	acc := qmath.NewMatrix(dim, dim)
-	ws, err := p.NewWorkspace()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		v, err := p.RunShot(ws, rng)
-		if err != nil {
-			return nil, err
-		}
-		amps := v.RawAmplitudes()
-		for r := 0; r < dim; r++ {
-			a := amps[r]
-			if a == 0 {
-				continue
-			}
-			row := acc.Row(r)
-			for c, b := range amps {
-				row[c] += a * complex(real(b), -imag(b))
-			}
-		}
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range acc.Data {
-		acc.Data[i] *= inv
-	}
-	return density.FromMatrix(p.space.Dims(), acc)
 }

@@ -9,23 +9,28 @@ import (
 	"quditkit/internal/noise"
 )
 
-// TestStatevectorCompiledMatchesInterpreted: the plan-backed statevector
-// backend must match a direct interpreted Run plus shared-sampler
-// sampling, probability-bit for probability-bit.
+// TestStatevectorCompiledMatchesInterpreted: the statevector backend
+// must match the circuit's own plan run directly, probability-bit for
+// probability-bit; the differential grid in internal/circuit holds that
+// plan to the interpreter bit for bit.
 func TestStatevectorCompiledMatchesInterpreted(t *testing.T) {
 	c := randomQutritCircuit(t, 555, 4)
 	exec, err := StatevectorBackend{}.Execute(c, ExecSpec{Shots: 200, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Run()
+	plan, err := c.Compile(noise.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, pw := exec.State.Probabilities(), want.Probabilities()
+	ws, err := plan.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, pw := exec.State.Probabilities(), plan.RunPure(ws).Probabilities()
 	for i := range pg {
 		if pg[i] != pw[i] {
-			t.Fatalf("basis %d: compiled %v vs interpreted %v", i, pg[i], pw[i])
+			t.Fatalf("basis %d: backend %v vs plan %v", i, pg[i], pw[i])
 		}
 	}
 	if exec.Counts.Total() != 200 {
@@ -33,8 +38,9 @@ func TestStatevectorCompiledMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestDensityCompiledMatchesInterpreted: the plan-backed density backend
-// must equal the interpreted RunDensityOn exactly.
+// TestDensityCompiledMatchesInterpreted: the density backend must equal
+// Circuit.RunDensity exactly; the differential grid in internal/circuit
+// holds that to the interpreted RunDensityOn bit for bit.
 func TestDensityCompiledMatchesInterpreted(t *testing.T) {
 	c := ghzQutritCircuit(t, 3)
 	model := noise.Model{Depol2: 0.04, Damping: 0.02, IdleDamping: 0.01}

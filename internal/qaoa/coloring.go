@@ -7,6 +7,7 @@ import (
 	"quditkit/internal/circuit"
 	"quditkit/internal/gates"
 	"quditkit/internal/hilbert"
+	"quditkit/internal/noise"
 	"quditkit/internal/state"
 )
 
@@ -134,11 +135,15 @@ func (c *Coloring) OptimizeP1(gridGamma, gridBeta int) (gamma, beta, value float
 		if err != nil {
 			return 0, err
 		}
-		v, err := qc.Run()
+		plan, err := qc.Compile(noise.Model{})
 		if err != nil {
 			return 0, err
 		}
-		return c.ExpectedProperEdges(v), nil
+		ws, err := plan.NewWorkspace()
+		if err != nil {
+			return 0, err
+		}
+		return c.ExpectedProperEdges(plan.RunPure(ws)), nil
 	}
 	bestV := math.Inf(-1)
 	for i := 0; i < gridGamma; i++ {

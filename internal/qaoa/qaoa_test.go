@@ -121,10 +121,15 @@ func TestColoringCircuitUniformAtZeroParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := qc.Run()
+	plan, err := qc.Compile(noise.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws, err := plan.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := plan.RunPure(ws)
 	// Uniform superposition: expected proper edges = |E| (1 - 1/d).
 	want := float64(len(g.Edges)) * (1 - 1.0/3)
 	got := col.ExpectedProperEdges(v)

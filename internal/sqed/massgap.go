@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"quditkit/internal/fit"
+	"quditkit/internal/noise"
 	"quditkit/internal/qmath"
 	"quditkit/internal/state"
 )
@@ -61,6 +62,14 @@ func (r *Rotor) MassGapQuench(dt float64, steps int, eps float64) (*QuenchResult
 	if err != nil {
 		return nil, err
 	}
+	step, err := stepCirc.Compile(noise.Model{})
+	if err != nil {
+		return nil, err
+	}
+	ws, err := step.NewWorkspace()
+	if err != nil {
+		return nil, err
+	}
 	// Observable: U + U† on site 0 (couples the gap-separated states and
 	// therefore oscillates at the gap frequency).
 	obs := u.Add(u.Dagger())
@@ -73,7 +82,7 @@ func (r *Rotor) MassGapQuench(dt float64, steps int, eps float64) (*QuenchResult
 		}
 		res.Times = append(res.Times, float64(s)*dt)
 		res.Signal = append(res.Signal, val)
-		if err := stepCirc.RunOn(cur); err != nil {
+		if err := step.RunPureOn(ws, cur); err != nil {
 			return nil, err
 		}
 	}

@@ -117,10 +117,15 @@ func (r *Rotor) RunEncodedNoisy(enc Encoding, dt float64, steps int, p float64) 
 	if err != nil {
 		return 0, err
 	}
-	ideal, err := c.Run()
+	plan, err := c.Compile(noise.Model{})
 	if err != nil {
 		return 0, err
 	}
+	ws, err := plan.NewWorkspace()
+	if err != nil {
+		return 0, err
+	}
+	ideal := plan.RunPure(ws)
 	oneQ, twoQ, err := r.gateChargeFactors(enc, dt)
 	if err != nil {
 		return 0, err

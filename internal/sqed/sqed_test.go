@@ -6,9 +6,25 @@ import (
 	"testing"
 
 	"quditkit/internal/arch"
+	"quditkit/internal/circuit"
+	"quditkit/internal/noise"
 	"quditkit/internal/qmath"
 	"quditkit/internal/state"
 )
+
+// mustPlan compiles c noiselessly and returns the plan with a workspace.
+func mustPlan(t *testing.T, c *circuit.Circuit) (*circuit.Plan, *circuit.Workspace) {
+	t.Helper()
+	plan, err := c.Compile(noise.Model{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := plan.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, ws
+}
 
 func mustChain(t *testing.T, sites, ell int, g2, x float64) *Rotor {
 	t.Helper()
@@ -118,7 +134,8 @@ func TestTrotterConvergesToExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := v0.Clone()
-		if err := c.RunOn(v); err != nil {
+		plan, ws := mustPlan(t, c)
+		if err := plan.RunPureOn(ws, v); err != nil {
 			t.Fatal(err)
 		}
 		ov := exact.Dot(v.Amplitudes())
@@ -146,14 +163,10 @@ func TestQubitEncodingMatchesNative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vN, err := native.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vQ, err := qubit.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	planN, wsN := mustPlan(t, native)
+	vN := planN.RunPure(wsN)
+	planQ, wsQ := mustPlan(t, qubit)
+	vQ := planQ.RunPure(wsQ)
 	// Compare amplitudes state-by-state: native index (m0, m1) maps to
 	// qubit index with each site in 2 qubits.
 	d := r.LocalDim()

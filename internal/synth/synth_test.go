@@ -7,6 +7,7 @@ import (
 
 	"quditkit/internal/cavity"
 	"quditkit/internal/gates"
+	"quditkit/internal/noise"
 	"quditkit/internal/qmath"
 )
 
@@ -191,6 +192,14 @@ func TestCSUMViaFourierIsCSUM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan, err := c.Compile(noise.Model{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := plan.NewWorkspace()
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Check action on all basis states.
 		for a := 0; a < d; a++ {
 			for b := 0; b < d; b++ {
@@ -198,7 +207,7 @@ func TestCSUMViaFourierIsCSUM(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.RunOn(v); err != nil {
+				if err := plan.RunPureOn(ws, v); err != nil {
 					t.Fatal(err)
 				}
 				wantIdx := a*d + (a+b)%d

@@ -10,6 +10,7 @@ import (
 	"quditkit/internal/circuit"
 	"quditkit/internal/gates"
 	"quditkit/internal/hilbert"
+	"quditkit/internal/noise"
 	"quditkit/internal/qmath"
 	"quditkit/internal/state"
 	"quditkit/internal/synth"
@@ -53,6 +54,22 @@ func assertSameAction(t *testing.T, a, b *circuit.Circuit, tol float64) {
 	if !a.Dims().Equal(b.Dims()) {
 		t.Fatalf("dims differ: %v vs %v", a.Dims(), b.Dims())
 	}
+	planA, err := a.Compile(noise.Model{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planB, err := b.Compile(noise.Model{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsA, err := planA.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsB, err := planB.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, digits := range digitsOf(a.Dims()) {
 		va, err := state.NewBasis(a.Dims(), digits)
 		if err != nil {
@@ -62,10 +79,10 @@ func assertSameAction(t *testing.T, a, b *circuit.Circuit, tol float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.RunOn(va); err != nil {
+		if err := planA.RunPureOn(wsA, va); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.RunOn(vb); err != nil {
+		if err := planB.RunPureOn(wsB, vb); err != nil {
 			t.Fatal(err)
 		}
 		ampA, ampB := va.RawAmplitudes(), vb.RawAmplitudes()
