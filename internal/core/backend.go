@@ -133,8 +133,7 @@ type DensityMatrixBackend struct{}
 func (DensityMatrixBackend) Kind() BackendKind { return DensityMatrix }
 
 // Execute implements Backend. Execution goes through a cached compiled
-// Plan, whose resolved Kraus sets spare the per-gate channel rebuilds of
-// the interpreted path.
+// Plan, whose Kraus sets are resolved once at compile time.
 func (DensityMatrixBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Execution, error) {
 	if err := spec.context().Err(); err != nil {
 		return Execution{}, err
@@ -172,9 +171,9 @@ func (DensityMatrixBackend) Execute(c *circuit.Circuit, spec ExecSpec) (Executio
 // order), so MeanProbs is byte-identical at any worker count, not just
 // statistically equivalent. Workers claim stripes from a shared counter
 // until none is left, so a worker on a slowed core simply claims fewer
-// of them. The per-op interpreter (Circuit.RunTrajectory) and the
-// unfused plan stay test oracles: internal/circuit/difftest proves
-// every shot of this engine bit-equal to both.
+// of them. The per-op interpreter and the unfused plan are test oracles
+// in internal/circuit: its differential grid proves every shot of this
+// engine bit-equal to both.
 type TrajectoryBackend struct{}
 
 // Kind implements Backend.
