@@ -86,15 +86,6 @@ func (r *Ring) Remove(member string) {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the member names in unspecified order.
-func (r *Ring) Members() []string {
-	ms := make([]string, 0, len(r.members))
-	for m := range r.members {
-		ms = append(ms, m)
-	}
-	return ms
-}
-
 // Owner returns the member owning key — the one whose virtual node is
 // first at or clockwise of the key's position. ok is false on an
 // empty ring.

@@ -8,7 +8,6 @@ import (
 	"quditkit/internal/density"
 	"quditkit/internal/hilbert"
 	"quditkit/internal/noise"
-	"quditkit/internal/qmath"
 	"quditkit/internal/state"
 	"quditkit/internal/transpile"
 )
@@ -125,29 +124,6 @@ func (r *Result) Marginal(q int) ([]float64, error) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("core: result carries no distribution")
-}
-
-// ExpectationHermitian returns the expectation of a Hermitian operator
-// acting on the given LOGICAL wires, evaluated on the exact state or
-// density matrix. Trajectory results without an exact state must use
-// Marginal or Counts instead.
-func (r *Result) ExpectationHermitian(m *qmath.Matrix, logicalTargets []int) (float64, error) {
-	targets := make([]int, len(logicalTargets))
-	for i, q := range logicalTargets {
-		mode, err := r.modeOf(q)
-		if err != nil {
-			return 0, err
-		}
-		targets[i] = mode
-	}
-	switch {
-	case r.State != nil:
-		return r.State.ExpectationHermitian(m, targets)
-	case r.Density != nil:
-		return r.Density.Expectation(m, targets)
-	}
-	return 0, fmt.Errorf("core: no exact state for expectation; use %s or %s backend",
-		Statevector, DensityMatrix)
 }
 
 // projectCounts re-keys a physical-register histogram onto the logical

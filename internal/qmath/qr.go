@@ -51,9 +51,3 @@ func QR(a *Matrix) *QRResult {
 	}
 	return &QRResult{Q: q, R: r}
 }
-
-// GramSchmidt orthonormalizes the columns of a in place and returns the
-// resulting matrix (equal to the Q factor of the QR decomposition).
-func GramSchmidt(a *Matrix) *Matrix {
-	return QR(a).Q
-}

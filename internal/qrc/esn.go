@@ -84,9 +84,6 @@ func NewESN(rng *rand.Rand, n int, rho, inputScale, leak float64) (*ESN, error) 
 	return e, nil
 }
 
-// Size returns the neuron count.
-func (e *ESN) Size() int { return e.n }
-
 // Reset zeroes the reservoir state.
 func (e *ESN) Reset() { e.x = make([]float64, e.n) }
 

@@ -287,9 +287,6 @@ func (r *Reservoir) SnapshotLen() int {
 // VirtualNodes returns the time-multiplexing factor.
 func (r *Reservoir) VirtualNodes() int { return r.virtual }
 
-// IncludesInput reports whether Run appends the raw input per sample.
-func (r *Reservoir) IncludesInput() bool { return r.params.IncludeInput }
-
 // Features returns the current joint Fock populations P(n_0,...,n_k) —
 // the reservoir's "neurons" (81 of them for two 9-level modes).
 func (r *Reservoir) Features() []float64 {

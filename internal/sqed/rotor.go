@@ -139,12 +139,6 @@ func (r *Rotor) Raising() *qmath.Matrix {
 	return m
 }
 
-// ElectricSite returns the single-site electric term (g^2/2) Lz^2.
-func (r *Rotor) ElectricSite() *qmath.Matrix {
-	lz := r.Lz()
-	return lz.Mul(lz).Scale(complex(r.G2/2, 0))
-}
-
 // HopBond returns the two-site hopping term -x (U†⊗U + U⊗U†) on one bond.
 func (r *Rotor) HopBond() *qmath.Matrix {
 	u := r.Raising()
